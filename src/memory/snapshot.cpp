@@ -21,7 +21,7 @@ Value SnapshotObject::encode(const Cell& c) {
   v.reserve(3);
   v.emplace_back(c.seq);
   v.push_back(c.value);
-  v.emplace_back(c.embedded);
+  v.push_back(c.embedded);
   return Value(std::move(v));
 }
 
@@ -30,7 +30,7 @@ SnapshotObject::Cell SnapshotObject::decode(const Value& raw) {
   if (raw.is_bottom()) return c;  // never written: seq 0, ⊥ value
   c.seq = raw.at(0).as_u64();
   c.value = raw.at(1);
-  c.embedded = raw.at(2).as_vec();
+  c.embedded = raw.at(2);
   return c;
 }
 
@@ -60,7 +60,7 @@ Task<std::vector<Value>> SnapshotObject::scan(Env& env) {
         if (moved[ji] >= 2) {
           // Writer j performed a complete update inside this scan: its
           // embedded view is a snapshot linearized within our interval.
-          co_return cur[ji].embedded;
+          co_return cur[ji].embedded.as_vec();
         }
       }
     }
@@ -83,7 +83,7 @@ Task<void> SnapshotObject::update(Env& env, Value v) {
   Cell c = decode(raw.value);
   c.seq += 1;
   c.value = std::move(v);
-  c.embedded = std::move(view);
+  c.embedded = Value(std::move(view));
   co_await env.write(regs_[static_cast<std::size_t>(me)], encode(c));
 }
 

@@ -37,7 +37,7 @@ class SnapshotObject {
   struct Cell {
     std::uint64_t seq = 0;
     Value value;
-    std::vector<Value> embedded;  // the writer's scan at this update
+    Value embedded;  // the writer's scan at this update (a Vec once written)
   };
 
   [[nodiscard]] sim::Task<std::vector<Cell>> collect(sim::Env& env);

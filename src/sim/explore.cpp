@@ -1,7 +1,6 @@
 #include "sim/explore.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -37,24 +36,13 @@ int resolve_explore_threads(int requested) {
 namespace detail {
 namespace {
 
-/// Exact runtime mirror of Sim::do_write's violation checks for a pending
-/// write of `v` into `reg` by `pid` (the value is known, so this is not an
-/// approximation). Any condition that would make do_write record a
-/// ModelEvent — or throw ModelError outside collect mode — makes the op
-/// order-sensitive.
+/// Whether a pending write of `v` into `reg` by `pid` breaks a model rule.
+/// The value is known, so this is exact: it asks the kernel's own check.
+/// Any violation — a ModelEvent in collect mode, a ModelError otherwise —
+/// makes the op order-sensitive.
 bool write_may_violate(const Sim& sim, Pid pid, int reg, const Value& v) {
   if (reg < 0 || reg >= sim.num_registers()) return true;
-  const Register& r = sim.register_info(reg);
-  if (r.writer != -1 && r.writer != pid) return true;  // Swmr
-  if (r.write_once && r.writes != 0) return true;      // WriteOnce
-  if (r.width_bits != kUnbounded && r.track_width) {
-    if (!v.is_u64()) return true;  // Width (non-integer)
-    if (v.bit_width() > r.width_bits) return true;  // Width (overflow)
-    const std::uint64_t limit =
-        (std::uint64_t{1} << r.width_bits) - (r.allows_bottom ? 2 : 1);
-    if (v.as_u64() > limit) return true;  // Bottom (⊥ code point)
-  }
-  return false;
+  return write_violations(sim.register_info(reg), pid, v).any();
 }
 
 void add_sorted(std::vector<int>& v, int x) {

@@ -422,7 +422,7 @@ Sim::UndoRecord Sim::capture_undo(const ProcCtl& ctl) const {
     case OpKind::Start:
       break;
     case OpKind::Read:
-      u.read_regs = {ctl.pending.reg};
+      u.reg = ctl.pending.reg;
       break;
     case OpKind::Write:
       u.reg = ctl.pending.reg;
@@ -454,6 +454,8 @@ void Sim::undo_shared(const UndoRecord& u) {
     case OpKind::Start:
       break;
     case OpKind::Read:
+      reg_at(u.reg).reads -= 1;
+      break;
     case OpKind::Snapshot:
       break;  // only read counters, handled below
     case OpKind::Write:
@@ -500,7 +502,7 @@ void Sim::undo_shared(const UndoRecord& u) {
 void Sim::rewind(std::size_t k) {
   usage_check(checkpointing_, "rewind: checkpointing is not enabled");
   usage_check(k <= undo_.size(), "rewind: fewer recorded actions than k");
-  std::vector<long> unwound(ctls_.size(), 0);
+  unwound_.assign(ctls_.size(), 0);
   for (; k > 0; --k) {
     const UndoRecord& u = undo_.back();
     auto& ctl = ctls_[static_cast<std::size_t>(u.pid)].ctl;
@@ -524,12 +526,12 @@ void Sim::rewind(std::size_t k) {
       ctl.steps -= 1;
       total_steps_ -= 1;
       result_log_[static_cast<std::size_t>(u.pid)].pop_back();
-      unwound[static_cast<std::size_t>(u.pid)] += 1;
+      unwound_[static_cast<std::size_t>(u.pid)] += 1;
     }
     undo_.pop_back();
   }
   for (Pid p = 0; p < n(); ++p) {
-    if (unwound[static_cast<std::size_t>(p)] > 0) rebuild_coroutine(p);
+    if (unwound_[static_cast<std::size_t>(p)] > 0) rebuild_coroutine(p);
   }
 }
 
@@ -667,43 +669,56 @@ void Sim::set_width_tracking(int reg, bool on) {
   reg_at(reg).track_width = on;
 }
 
+WriteViolations write_violations(const Register& r, Pid pid,
+                                 const Value& v) {
+  WriteViolations out;
+  out.swmr = r.writer != -1 && r.writer != pid;
+  out.write_once = r.write_once && r.writes != 0;
+  if (r.width_bits != kUnbounded && r.track_width) {
+    // A register with a ⊥ state spends one of its 2^b codes on ⊥, leaving
+    // integers 0 … 2^b − 2; a plain bounded register holds 0 … 2^b − 1.
+    const std::uint64_t limit =
+        (std::uint64_t{1} << r.width_bits) - (r.allows_bottom ? 2 : 1);
+    if (!v.is_u64() || v.bit_width() > r.width_bits) {
+      out.width = ModelEvent::Kind::Width;
+    } else if (v.as_u64() > limit) {
+      out.width = ModelEvent::Kind::Bottom;
+    }
+  }
+  return out;
+}
+
 void Sim::do_write(Pid pid, int reg, const Value& v) {
   Register& r = reg_at(reg);
   reg_ops_in_step_ += 1;
-  if (r.writer != -1 && r.writer != pid) {
+  const WriteViolations bad = write_violations(r, pid, v);
+  if (bad.swmr) {
     violate(ModelEvent::Kind::Swmr, pid, reg,
             "process " + std::to_string(pid) + " wrote to register '" +
                 r.name + "' owned by process " + std::to_string(r.writer));
   }
-  if (r.write_once && r.writes != 0) {
+  if (bad.write_once) {
     violate(ModelEvent::Kind::WriteOnce, pid, reg,
             "second write to write-once register '" + r.name + "'");
   }
-  if (r.width_bits != kUnbounded && r.track_width) {
-    if (!v.is_u64()) {
-      violate(ModelEvent::Kind::Width, pid, reg,
-              "non-integer value " + v.str() +
-                  " written to bounded register '" + r.name + "'");
-    } else {
-      const int w = v.bit_width();
-      // A register with a ⊥ state spends one of its 2^b codes on ⊥, leaving
-      // integers 0 … 2^b − 2; a plain bounded register holds 0 … 2^b − 1.
-      const std::uint64_t limit = (std::uint64_t{1} << r.width_bits) -
-                                  (r.allows_bottom ? 2 : 1);
-      if (w > r.width_bits) {
-        violate(ModelEvent::Kind::Width, pid, reg,
-                "value " + v.str() + " (" + std::to_string(w) +
-                    " bits) overflows register '" + r.name + "' of width " +
-                    std::to_string(r.width_bits));
-      } else if (v.as_u64() > limit) {
-        violate(ModelEvent::Kind::Bottom, pid, reg,
-                "value " + v.str() + " escapes into the ⊥ code point of "
-                    "register '" + r.name + "' of width " +
-                    std::to_string(r.width_bits) +
-                    " (one state reserved for ⊥)");
-      }
-      r.max_bits_written = std::max(r.max_bits_written, w);
-    }
+  if (bad.width == ModelEvent::Kind::Width && !v.is_u64()) {
+    violate(ModelEvent::Kind::Width, pid, reg,
+            "non-integer value " + v.str() +
+                " written to bounded register '" + r.name + "'");
+  } else if (bad.width == ModelEvent::Kind::Width) {
+    violate(ModelEvent::Kind::Width, pid, reg,
+            "value " + v.str() + " (" + std::to_string(v.bit_width()) +
+                " bits) overflows register '" + r.name + "' of width " +
+                std::to_string(r.width_bits));
+  } else if (bad.width == ModelEvent::Kind::Bottom) {
+    violate(ModelEvent::Kind::Bottom, pid, reg,
+            "value " + v.str() + " escapes into the ⊥ code point of "
+                "register '" + r.name + "' of width " +
+                std::to_string(r.width_bits) +
+                " (one state reserved for ⊥)");
+  }
+  if (r.width_bits != kUnbounded && r.track_width && v.is_u64()) {
+    r.max_bits_written = std::max(r.max_bits_written, v.bit_width());
   }
   if (hashing_) {
     hash_toggle_reg(reg, r.value);

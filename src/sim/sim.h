@@ -80,6 +80,24 @@ struct ModelEvent {
 
 [[nodiscard]] std::string to_string(ModelEvent::Kind k);
 
+/// The model rules that a write of `v` by `pid` into `r` breaks.
+/// Sim::do_write reports every rule set here, and the explorer's POR
+/// footprint treats the write as order-sensitive iff `any()`; one check
+/// backs both, so they cannot drift apart.
+struct WriteViolations {
+  bool swmr = false;        ///< `pid` does not own `r`.
+  bool write_once = false;  ///< `r` is write-once and already written.
+  /// Width (a non-integer, or more bits than declared) or Bottom (the code
+  /// point reserved for ⊥). Unset when `r` is unbounded, its width tracking
+  /// is off, or the value fits.
+  std::optional<ModelEvent::Kind> width;
+  [[nodiscard]] bool any() const noexcept {
+    return swmr || write_once || width.has_value();
+  }
+};
+[[nodiscard]] WriteViolations write_violations(const Register& r, Pid pid,
+                                               const Value& v);
+
 /// Configuration for spawning a Sim.
 struct SimOptions {
   int n = 0;                 ///< Number of processes.
@@ -414,10 +432,11 @@ class Sim {
     Kind kind = Kind::Step;
     Pid pid = -1;
     OpKind op = OpKind::Start;
-    int reg = -1;               ///< Write/WriteSnap target register.
+    int reg = -1;               ///< Read source / Write/WriteSnap target.
     Value old_value;            ///< Previous content of `reg`.
     int old_max_bits = 0;       ///< Previous max_bits_written of `reg`.
-    std::vector<int> read_regs; ///< Registers whose read count to decrement.
+    /// Snapshot/WriteSnap registers whose read count to decrement.
+    std::vector<int> read_regs;
     Pid peer = -1;              ///< Send destination / Recv actual sender.
     Value recv_value;           ///< Recv: delivered payload, to re-queue.
     bool traced = false;        ///< A TraceEvent was recorded for this step.
@@ -472,6 +491,8 @@ class Sim {
   int reg_ops_in_step_ = 0;
   bool checkpointing_ = false;
   std::vector<UndoRecord> undo_;
+  /// rewind()'s per-process count of undone steps, kept to reuse its buffer.
+  std::vector<long> unwound_;
   /// result_log_[pid][j] = result delivered to pid's j-th executed step.
   std::vector<std::vector<OpResult>> result_log_;
   /// Messages delivered per channel (same from*n+to indexing as chan_):

@@ -6,13 +6,22 @@
 // vector of values. Values are totally ordered (lexicographic over a kind
 // tag), hashable, and printable, so they can be used as set/map keys when
 // enumerating protocol configurations.
+//
+// Representation: a kind tag plus one 8-byte word, which holds either the
+// integer inline or a pointer to an immutable, atomically refcounted payload
+// (the byte string or the element vector). A payload is never modified after
+// construction, so copying a Value — however deeply nested — only bumps a
+// refcount, and copies may be made and destroyed on different threads. A
+// moved-from Value is ⊥.
 #pragma once
 
+#include <atomic>
 #include <compare>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bsr {
@@ -26,16 +35,35 @@ class Value {
   enum class Kind { Bottom, U64, Bytes, Vec };
 
   /// ⊥ — the initial content of registers, and "no value" in views.
-  Value() noexcept : kind_(Kind::Bottom) {}
-  Value(std::uint64_t v) noexcept : kind_(Kind::U64), u64_(v) {}
+  Value() noexcept : kind_(Kind::Bottom), word_{0} {}
+  Value(std::uint64_t v) noexcept : kind_(Kind::U64), word_{v} {}
   Value(int v) : Value(static_cast<std::uint64_t>(v)) {
     usage_nonnegative(v);
   }
-  Value(std::string bytes) : kind_(Kind::Bytes), bytes_(std::move(bytes)) {}
+  Value(std::string bytes);
   Value(const char* bytes) : Value(std::string(bytes)) {}
-  Value(std::vector<Value> vec) : kind_(Kind::Vec), vec_(std::move(vec)) {}
+  Value(std::vector<Value> vec);
   Value(std::initializer_list<Value> vec)
-      : kind_(Kind::Vec), vec_(vec.begin(), vec.end()) {}
+      : Value(std::vector<Value>(vec.begin(), vec.end())) {}
+
+  /// Copies share the payload: O(1), no allocation.
+  Value(const Value& o) noexcept : kind_(o.kind_), word_(o.word_) { retain(); }
+  /// Leaves `o` as ⊥.
+  Value(Value&& o) noexcept : kind_(o.kind_), word_(o.word_) { o.reset(); }
+  // Both assignments build the new value first and drop the old one last,
+  // so assigning from a value nested inside our own payload is safe.
+  Value& operator=(const Value& o) noexcept {
+    Value tmp(o);
+    swap(tmp);
+    return *this;
+  }
+  /// Leaves `o` as ⊥ (a self-move leaves the value unchanged).
+  Value& operator=(Value&& o) noexcept {
+    Value tmp(std::move(o));
+    swap(tmp);
+    return *this;
+  }
+  ~Value() { release(); }
 
   /// Named constructor for ⊥, for readability at call sites.
   [[nodiscard]] static Value bottom() noexcept { return Value(); }
@@ -54,11 +82,9 @@ class Value {
   [[nodiscard]] const std::string& as_bytes() const;
   /// Vector payload; throws UsageError if not a Vec.
   [[nodiscard]] const std::vector<Value>& as_vec() const;
-  [[nodiscard]] std::vector<Value>& as_vec();
 
   /// Vector element access; throws UsageError if not a Vec or out of range.
   [[nodiscard]] const Value& at(std::size_t i) const;
-  [[nodiscard]] Value& at(std::size_t i);
 
   /// Number of bits needed to store this value in a bounded register
   /// (0 for the u64 value 0). Throws UsageError for non-U64 values, which
@@ -75,13 +101,51 @@ class Value {
   [[nodiscard]] std::string str() const;
 
  private:
+  struct Payload;
+  struct BytesPayload;
+  struct VecPayload;
+
   static void usage_nonnegative(int v);
 
+  [[nodiscard]] bool shared() const noexcept { return kind_ >= Kind::Bytes; }
+  void retain() const noexcept;
+  void release() noexcept;
+  /// Frees the payload after its last reference is dropped.
+  void destroy() noexcept;
+  void reset() noexcept {
+    kind_ = Kind::Bottom;
+    word_.u64 = 0;
+  }
+  void swap(Value& o) noexcept {
+    std::swap(kind_, o.kind_);
+    std::swap(word_, o.word_);
+  }
+  [[nodiscard]] const BytesPayload& bytes_payload() const noexcept;
+  [[nodiscard]] const VecPayload& vec_payload() const noexcept;
+
+  union Word {
+    std::uint64_t u64;  ///< U64 (and 0 for ⊥)
+    Payload* payload;   ///< Bytes and Vec: BytesPayload / VecPayload
+  };
+
   Kind kind_;
-  std::uint64_t u64_ = 0;
-  std::string bytes_;
-  std::vector<Value> vec_;
+  Word word_;
 };
+
+/// Refcount header of a shared payload (a BytesPayload or VecPayload,
+/// defined in value.cpp). Its content is immutable once the owning Value's
+/// constructor returns.
+struct Value::Payload {
+  std::atomic<std::size_t> refs{1};
+};
+
+inline void Value::retain() const noexcept {
+  if (shared()) word_.payload->refs.fetch_add(1);
+}
+
+inline void Value::release() noexcept {
+  if (shared() && word_.payload->refs.fetch_sub(1) == 1) destroy();
+}
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 

@@ -2,13 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <numeric>
 #include <set>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
+#include "sim/zobrist.h"
 #include "util/errors.h"
 
 namespace bsr {
 namespace {
+
+static_assert(sizeof(Value) <= 32, "Value must stay a compact handle");
+
+// Fixed nested values: every kind, an empty Vec, ⊥ inside a Vec, Bytes
+// inside a Vec, and three levels of nesting.
+std::vector<Value> pinned_values() {
+  const Value empty(std::vector<Value>{});
+  return {
+      Value(),
+      Value(0),
+      Value(42),
+      Value(std::uint64_t{0xffffffffffffffffULL}),
+      Value(""),
+      Value("ab"),
+      empty,
+      Value{empty},
+      Value{Value(), Value(1), Value("x")},
+      Value{Value{Value(0), Value(1)}, Value{Value(), Value("ab")}, empty},
+      Value{Value(3), Value(7),
+            Value{Value(), Value{Value(1), Value(2)}, Value("p")}},
+      Value{empty, Value{Value()}, Value{Value{Value(), Value("q")}}},
+  };
+}
 
 TEST(Value, DefaultIsBottom) {
   const Value v;
@@ -105,9 +134,124 @@ TEST(Value, HashIsStructural) {
 TEST(Value, NestedDeepStructures) {
   Value v = Value(0);
   for (int i = 0; i < 50; ++i) v = Value{v, Value(i)};
-  const Value w = v;  // deep copy
+  const Value w = v;  // shares v's payload
   EXPECT_EQ(v, w);
   EXPECT_EQ(v.hash(), w.hash());
+}
+
+TEST(Value, CopySharesPayload) {
+  const Value a{Value(1), Value("x"), Value{Value()}};
+  const Value b = a;
+  EXPECT_EQ(&a.as_vec(), &b.as_vec());
+  Value c;
+  c = b;
+  EXPECT_EQ(&a.as_vec(), &c.as_vec());
+  // Elements are shared too: copying a nested view copies no level of it.
+  const Value inner = a.at(2);
+  EXPECT_EQ(&inner.as_vec(), &a.at(2).as_vec());
+  const Value s("payload");
+  const Value t = s;
+  EXPECT_EQ(&s.as_bytes(), &t.as_bytes());
+}
+
+TEST(Value, MovedFromIsBottom) {
+  Value v{Value(1), Value(2)};
+  const std::vector<Value>* payload = &v.as_vec();
+  Value w = std::move(v);
+  EXPECT_TRUE(v.is_bottom());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(&w.as_vec(), payload);
+
+  Value s("bytes");
+  Value t;
+  t = std::move(s);
+  EXPECT_TRUE(s.is_bottom());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(t.as_bytes(), "bytes");
+
+  Value n(7);
+  const Value m = std::move(n);
+  EXPECT_TRUE(n.is_bottom());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(m.as_u64(), 7u);
+}
+
+TEST(Value, AssignFromOwnElement) {
+  // The element lives in the payload the assignment releases.
+  Value v{Value{Value(1), Value("deep")}, Value(2)};
+  v = v.at(0);
+  EXPECT_EQ(v.str(), "[1, \"deep\"]");
+  v = Value(v.at(1));
+  EXPECT_EQ(v.as_bytes(), "deep");
+}
+
+TEST(Value, PinnedRenderingAndHashes) {
+  // Taken before Value became a shared-payload handle: TT state hashes and
+  // printed views must not drift with its representation.
+  struct Pin {
+    const char* str;
+    std::size_t hash;
+    std::uint64_t zobrist;
+  };
+  const Pin pins[] = {
+      {R"(⊥)", 0xaf63bd4c8601b7dfULL, 0x25fc6dd36ce04b20ULL},
+      {R"(0)", 0x082f2207b4e88cc4ULL, 0x096fb4607e99c43eULL},
+      {R"(42)", 0x082efc07b4e84c32ULL, 0xb77b9e1b6a6ec3d5ULL},
+      {R"(18446744073709551615)", 0xf7d0dcf84b177189ULL, 0xb4b5b4106b0ffeb3ULL},
+      {R"("")", 0xb3e465d6c19bac11ULL, 0x9d31a65a687fc662ULL},
+      {R"("ab")", 0xa51d955bb61b415aULL, 0x3e9d0ab832e8a060ULL},
+      {R"([])", 0xaf63be4c8601b992ULL, 0x0e49abb0b396f44cULL},
+      {R"([[]])", 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {R"([⊥, 1, "x"])", 0x78f217d53c82633aULL, 0x969821927295ee69ULL},
+      {R"([[0, 1], [⊥, "ab"], []])", 0xc7537f39ddf9cfa6ULL, 0x9461c35db133442cULL},
+      {R"([3, 7, [⊥, [1, 2], "p"]])", 0x222e72a3ecd24c36ULL, 0x2b49e9a94905e468ULL},
+      {R"([[], [⊥], [[⊥, "q"]]])", 0x386b7a2035120902ULL, 0x7162a7487eb19c05ULL},
+  };
+  const std::vector<Value> t = pinned_values();
+  ASSERT_EQ(t.size(), std::size(pins));
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    SCOPED_TRACE(pins[i].str);
+    EXPECT_EQ(t[i].str(), pins[i].str);
+    EXPECT_EQ(t[i].hash(), pins[i].hash);
+    EXPECT_EQ(sim::zobrist::value_hash(t[i]), pins[i].zobrist);
+  }
+}
+
+TEST(Value, PinnedComparisons) {
+  const std::vector<Value> t = pinned_values();
+  const std::vector<Value> u = pinned_values();  // equal, separate payloads
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    for (std::size_t j = 0; j < t.size(); ++j) {
+      EXPECT_EQ(t[i] == u[j], i == j) << i << " vs " << j;
+    }
+    EXPECT_TRUE((t[i] <=> u[i]) == std::strong_ordering::equal) << i;
+    EXPECT_EQ(t[i].hash(), u[i].hash()) << i;
+  }
+  // The total order, as sorted before the representation change.
+  std::vector<std::size_t> idx(t.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  std::sort(idx.begin(), idx.end(),
+            [&](std::size_t a, std::size_t b) { return t[a] < t[b]; });
+  const std::vector<std::size_t> expected{0, 1, 2, 3, 4, 5, 6, 8, 10, 7, 11, 9};
+  EXPECT_EQ(idx, expected);
+}
+
+TEST(Value, ConcurrentCopiesOfOneSharedValue) {
+  Value shared = Value(0);
+  for (int i = 0; i < 20; ++i) {
+    shared = Value{shared, Value(i), Value("s" + std::to_string(i))};
+  }
+  const std::string expected = shared.str();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared] {
+      for (int k = 0; k < 20000; ++k) {
+        Value copy = shared;
+        Value inner = copy.at(0);
+        Value moved = std::move(copy);
+        inner = moved.at(2);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(shared.str(), expected);
 }
 
 }  // namespace
