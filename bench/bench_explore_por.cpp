@@ -5,60 +5,35 @@
 // The TT collapses reconvergent states but still *expands* every reachable
 // state once; the sleep sets stop commuting interleavings from being
 // generated at all, so on workloads rich in independent ops the composed
-// engine touches a small fraction of the state graph's edges. Each row
-// reports the plain baseline (no table, every schedule — skipped with a
-// note where the schedule count is astronomically infeasible), the TT-only
-// leg, and the POR+TT leg. Correctness is asserted inline, not sampled:
-// the two pruned legs must agree on the distinct-final-configuration count
-// and on the deduped violation keyset (POR's guarantee is bit-identical
-// findings), the plain leg must agree on the final-state set, and any TT
-// drop voids the run.
-//
-// Besides the usual table + google-benchmark section, the binary writes
-// `BENCH_explore_por.json` (into $BSR_BENCH_JSON_DIR or the CWD): the
-// machine-readable perf-trajectory record committed as
-// bench/BENCH_explore_por.json — see docs/MODEL.md for the convention.
-// Acceptance: POR+TT >= 2x wall-clock over TT-only on at least one
-// exhaustive workload.
+// engine touches a small fraction of the state graph's edges. That both
+// legs reach the same finals and findings is asserted by the differential
+// tests (tests/explore_por_slow_test.cpp), not here; the end-to-end
+// explorer benchmark is perfbench/ (see perfbench/README.md).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common.h"
 #include "core/alg1.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
 #include "sim/tt.h"
-#include "sim/zobrist.h"
 
 namespace {
 
 using namespace bsr;
 
 struct Workload {
-  std::string name;
   sim::Explorer::Factory make;
   sim::ExploreOptions opts;
-  /// The plain no-table leg enumerates every schedule; skip it (with a
-  /// printed note, never silently) where that count is infeasible.
-  bool plain_feasible = true;
 };
 
 /// n processes, each writing ONLY its own register `writes` times: every
-/// cross-process pair of ops is independent, so the schedule tree is the
-/// worst case for plain search ((n*w)! / (w!)^n interleavings), the state
-/// graph is a (w+1)^n grid for the TT, and the sleep sets collapse the
-/// whole thing to essentially one representative path. This is the
-/// workload class POR exists for.
+/// cross-process pair of ops is independent, so the state graph is a
+/// (w+1)^n grid for the TT, and the sleep sets collapse the whole thing to
+/// essentially one representative path. This is the workload class POR
+/// exists for.
 sim::Explorer::Factory make_independent_writers(int n, int writes) {
   return [n, writes]() {
     auto sim = std::make_unique<sim::Sim>(n);
@@ -78,12 +53,11 @@ sim::Explorer::Factory make_independent_writers(int n, int writes) {
 
 std::vector<Workload> workloads() {
   std::vector<Workload> ws;
-  for (const std::uint64_t k : {3ull, 4ull}) {
-    Workload w;
-    w.name = "alg1 k=" + std::to_string(k);
-    w.make = [k]() {
+  {
+    Workload w;  // alg1 k=3
+    w.make = []() {
       auto sim = std::make_unique<sim::Sim>(2);
-      core::install_alg1(*sim, k, {0, 1});
+      core::install_alg1(*sim, 3, {0, 1});
       sim->set_violation_collecting(true);
       return sim;
     };
@@ -91,160 +65,12 @@ std::vector<Workload> workloads() {
     ws.push_back(std::move(w));
   }
   {
-    Workload w;
-    w.name = "indep-writers n=4 w=2";
-    w.make = make_independent_writers(4, 2);
-    w.opts.max_steps = 2000;
-    // Plain: 12!/(3!)^4 = 369600 schedules (3 steps per process including
-    // the coroutine start) — the largest exhaustive run that stays cheap.
-    ws.push_back(std::move(w));
-  }
-  {
-    Workload w;
-    w.name = "indep-writers n=4 w=10";
+    Workload w;  // indep-writers n=4 w=10
     w.make = make_independent_writers(4, 10);
     w.opts.max_steps = 2000;
-    // Plain: 44!/(11!)^4 ≈ 10^23 schedules — not runnable; the TT leg is
-    // the baseline here.
-    w.plain_feasible = false;
     ws.push_back(std::move(w));
   }
   return ws;
-}
-
-std::string violation_key(const sim::ModelEvent& e) {
-  return to_string(e.kind) + "|" + std::to_string(e.pid) + "|" +
-         std::to_string(e.reg) + "|" + e.message;
-}
-
-struct Measurement {
-  long count = 0;
-  double seconds = 0;
-  std::set<std::uint64_t> finals;
-  std::set<std::string> violations;
-  sim::TranspositionTable::Stats tt;
-};
-
-enum class Leg { Plain, TtOnly, PorTt };
-
-Measurement run(const Workload& w, Leg leg) {
-  sim::ExploreOptions opts = w.opts;
-  opts.threads = 1;
-  opts.por = leg == Leg::PorTt;
-  std::shared_ptr<sim::TranspositionTable> tt;
-  if (leg != Leg::Plain) {
-    tt = std::make_shared<sim::TranspositionTable>(std::size_t{1} << 22);
-    opts.tt = tt;
-  }
-  // The plain leg identifies finals with the from-scratch hash oracle,
-  // which reads the per-process result logs — checkpointing required.
-  const sim::Explorer::Factory make =
-      leg == Leg::Plain ? sim::Explorer::Factory([&w] {
-        auto sim = w.make();
-        sim->set_checkpointing(true);
-        return sim;
-      })
-                        : w.make;
-  Measurement m;
-  const auto t0 = std::chrono::steady_clock::now();
-  m.count = sim::Explorer(opts).explore(
-      make, [&m, leg](sim::Sim& sim, const std::vector<sim::Choice>&) {
-        m.finals.insert(leg == Leg::Plain ? sim::zobrist::full_hash(sim)
-                                          : sim.state_hash());
-        for (const sim::ModelEvent& e : sim.model_violations()) {
-          m.violations.insert(violation_key(e));
-        }
-      });
-  m.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (tt != nullptr) m.tt = tt->stats();
-  return m;
-}
-
-std::string fmt(double v, const char* spec) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, spec, v);
-  return buf;
-}
-
-int print_por_table() {
-  bench::banner(
-      "Sleep-set POR — explorer wall-clock, TT-only vs POR+TT",
-      "the table collapses reconvergent states; the sleep sets stop "
-      "commuting interleavings from being generated at all, so the composed "
-      "engine walks a fraction of the state graph's edges");
-
-  bench::Table table({"workload", "execs (plain)", "states (tt)",
-                      "s (plain)", "s (tt)", "s (por+tt)", "speedup vs tt",
-                      "findings"});
-  std::ostringstream json;
-  json << "{\"bench\":\"explore_por\",\"unit\":\"seconds\",\"workloads\":[";
-  double max_speedup = 0;
-  bool ok = true;
-  bool first = true;
-  for (const Workload& w : workloads()) {
-    const Measurement tt = run(w, Leg::TtOnly);
-    const Measurement both = run(w, Leg::PorTt);
-    // The identical-findings assertion: same distinct-final count, same
-    // final-state set, same deduped violation keys, zero drops on either
-    // pruned leg.
-    bool same = tt.count == both.count && tt.finals == both.finals &&
-                tt.violations == both.violations && tt.tt.drops == 0 &&
-                both.tt.drops == 0;
-    Measurement plain;
-    if (w.plain_feasible) {
-      plain = run(w, Leg::Plain);
-      same = same && plain.finals.size() == static_cast<std::size_t>(tt.count) &&
-             plain.violations == tt.violations;
-    }
-    ok &= same;
-    const double speedup = tt.seconds / both.seconds;
-    max_speedup = std::max(max_speedup, speedup);
-    table.row({w.name,
-               w.plain_feasible ? bench::str(plain.count) : "skipped",
-               bench::str(tt.count),
-               w.plain_feasible ? fmt(plain.seconds, "%.4f") : "-",
-               fmt(tt.seconds, "%.4f"), fmt(both.seconds, "%.4f"),
-               fmt(speedup, "%.1fx"), same ? "identical" : "MISMATCH"});
-    if (!w.plain_feasible) {
-      std::cout << "  note: " << w.name
-                << ": plain leg skipped (schedule count infeasible); the "
-                   "TT leg is the baseline\n";
-    }
-    if (!first) json << ",";
-    first = false;
-    json << "{\"name\":\"" << w.name << "\",\"plain\":";
-    if (w.plain_feasible) {
-      json << "{\"executions\":" << plain.count
-           << ",\"seconds\":" << fmt(plain.seconds, "%.6f") << "}";
-    } else {
-      json << "null";
-    }
-    json << ",\"tt\":{\"states\":" << tt.count
-         << ",\"seconds\":" << fmt(tt.seconds, "%.6f")
-         << ",\"probes\":" << tt.tt.probes << ",\"hits\":" << tt.tt.hits
-         << ",\"stores\":" << tt.tt.stores << ",\"drops\":" << tt.tt.drops
-         << "},\"por_tt\":{\"states\":" << both.count
-         << ",\"seconds\":" << fmt(both.seconds, "%.6f")
-         << ",\"probes\":" << both.tt.probes << ",\"hits\":" << both.tt.hits
-         << ",\"stores\":" << both.tt.stores << ",\"drops\":" << both.tt.drops
-         << "},\"speedup_vs_tt\":" << fmt(speedup, "%.2f")
-         << ",\"findings_match\":" << (same ? "true" : "false") << "}";
-  }
-  json << "],\"max_speedup_vs_tt\":" << fmt(max_speedup, "%.2f") << "}";
-  table.print();
-  std::cout << "  max speedup vs tt: " << fmt(max_speedup, "%.1f")
-            << "x (acceptance: >= 2x on at least one workload)\n";
-
-  const char* dir = std::getenv("BSR_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr ? std::string(dir) + "/" : std::string()) +
-      "BENCH_explore_por.json";
-  std::ofstream out(path);
-  out << json.str() << "\n";
-  std::cout << "  wrote " << path << "\n";
-  return (ok && max_speedup >= 2.0) ? 0 : 1;
 }
 
 void BM_ExplorePor(benchmark::State& state) {
@@ -262,20 +88,15 @@ void BM_ExplorePor(benchmark::State& state) {
   }
   state.counters["states"] = static_cast<double>(count);
 }
-// Arg0 = workload index; Arg1 = 0 TT-only / 1 POR+TT.
+// Arg0 = workload (0 alg1 k=3, 1 indep-writers n=4 w=10); Arg1 = 0 TT-only
+// / 1 POR+TT.
 BENCHMARK(BM_ExplorePor)
     ->Args({0, 0})
     ->Args({0, 1})
-    ->Args({3, 0})
-    ->Args({3, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int rc = print_por_table();
-  if (rc != 0) return rc;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -191,11 +191,11 @@ std::string client_roundtrip(const std::string& socket_path,
   }
   std::string line = request;
   if (line.empty() || line.back() != '\n') line += '\n';
-  if (!send_all(fd, line)) {
-    ::close(fd);
-    throw UsageError("send(" + socket_path + ") failed");
-  }
-  ::shutdown(fd, SHUT_WR);  // one request per connection from the CLI
+  // A full daemon writes its `overloaded` refusal and closes without
+  // reading, so the send can fail with the answer already waiting: read it
+  // before giving up.
+  const bool sent = send_all(fd, line);
+  if (sent) ::shutdown(fd, SHUT_WR);  // one request per connection
   std::string resp;
   char chunk[4096];
   for (;;) {
@@ -206,6 +206,8 @@ std::string client_roundtrip(const std::string& socket_path,
   }
   ::close(fd);
   const std::size_t nl = resp.find('\n');
+  usage_check(sent || nl != std::string::npos,
+              "send(" + socket_path + ") failed");
   usage_check(nl != std::string::npos,
               "daemon closed the connection without a response");
   return resp.substr(0, nl);

@@ -34,8 +34,9 @@ struct ServerOptions {
 int run_server(const ServerOptions& opts, std::ostream& log);
 
 /// Client leg: connects to `socket_path`, sends `request` as one line, and
-/// returns the daemon's response line (without the trailing newline).
-/// Throws UsageError on connect/IO failure.
+/// returns the daemon's response line (without the trailing newline). A
+/// response the daemon wrote before the send failed (an `overloaded`
+/// refusal) is still returned. Throws UsageError on connect/IO failure.
 std::string client_roundtrip(const std::string& socket_path,
                              const std::string& request);
 

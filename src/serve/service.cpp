@@ -35,7 +35,6 @@ constexpr long kMaxExploreK = 6;
 constexpr long kMaxExploreCrashes = 4;
 constexpr long kMaxExploreSteps = 1'000'000;
 constexpr long kMaxSleepMs = 60'000;
-constexpr std::size_t kMaxBatch = 256;
 
 std::string error_envelope(const char* category, const std::string& message) {
   return std::string("{\"ok\":false,\"error\":\"") + category +
@@ -142,7 +141,7 @@ std::uint64_t Service::spec_fingerprint(const analysis::ProtocolSpec& spec) {
   h = air::fp_combine(h, air::fingerprint(spec.params));
   h = air::fp_combine(h, spec.demo ? 1 : 0);
   // The IR reflection is the expensive part; the memo below is what makes
-  // repeated and batched requests share one reflection per spec.
+  // repeated requests share one reflection per spec.
   h = air::fp_combine(h, spec.describe ? air::fingerprint(spec.describe())
                                        : air::fp_mix(kKeySeed));
   const std::lock_guard<std::mutex> lock(memo_mu_);
@@ -302,12 +301,8 @@ std::string Service::stats_payload() {
   return os.str();
 }
 
-Service::Reply Service::dispatch(const ModeInfo& info, std::size_t mode_index,
-                                 const Json& req) {
+Service::Reply Service::dispatch(const ModeInfo& info, const Json& req) {
   Reply r;
-  r.counted = true;
-  r.mode_index = mode_index;
-
   const std::string mode = info.mode;
   if (info.cacheable) {
     std::uint64_t key = 0;
@@ -352,9 +347,7 @@ Service::Reply Service::dispatch(const ModeInfo& info, std::size_t mode_index,
   return r;
 }
 
-Service::Reply Service::handle_request(const Json& req) {
-  usage_check(req.is_object(), "request must be a JSON object");
-  usage_check(req.get("batch") == nullptr, "batches cannot nest");
+std::string Service::handle_request(const Json& req) {
   const std::string mode = req.str_or("mode", "");
   const ModeInfo* info = find_mode(mode.c_str());
   if (info == nullptr) {
@@ -370,7 +363,7 @@ Service::Reply Service::handle_request(const Json& req) {
   const std::size_t index =
       static_cast<std::size_t>(info - dispatch_table(&count));
   const auto t0 = std::chrono::steady_clock::now();
-  Reply r = dispatch(*info, index, req);
+  Reply r = dispatch(*info, req);
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
@@ -378,48 +371,19 @@ Service::Reply Service::handle_request(const Json& req) {
   ++modes_[index].requests;
   if (r.hit) ++modes_[index].cache_hits;
   modes_[index].total_us += static_cast<std::uint64_t>(us);
-  return r;
-}
-
-std::string Service::safe_request(const Json& req) {
-  try {
-    return handle_request(req).line;
-  } catch (const UsageError& e) {
-    return error_envelope("usage", e.what());
-  } catch (const std::exception& e) {
-    return error_envelope("analysis", e.what());
-  }
+  return std::move(r.line);
 }
 
 std::string Service::handle_line(const std::string& line) {
-  Json req;
   try {
-    req = Json::parse(line);
+    const Json req = Json::parse(line);
     usage_check(req.is_object(), "request must be a JSON object");
-  } catch (const std::exception& e) {
+    return handle_request(req) + "\n";
+  } catch (const UsageError& e) {
     return error_envelope("usage", e.what()) + "\n";
-  }
-  const Json* batch = req.get("batch");
-  if (batch == nullptr) return safe_request(req) + "\n";
-
-  // A batch answers each element in order in one envelope. Elements run
-  // sequentially on this worker, so identical elements after the first are
-  // cache hits (one cold analysis per distinct key) and all elements share
-  // the per-spec IR-reflection memo.
-  std::string out = "{\"ok\":true,\"batch\":[";
-  try {
-    const std::vector<Json>& reqs = batch->array();
-    usage_check(reqs.size() <= kMaxBatch,
-                "batch larger than " + std::to_string(kMaxBatch));
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (i > 0) out += ",";
-      out += safe_request(reqs[i]);
-    }
   } catch (const std::exception& e) {
-    return error_envelope("usage", e.what()) + "\n";
+    return error_envelope("analysis", e.what()) + "\n";
   }
-  out += "]}\n";
-  return out;
 }
 
 }  // namespace bsr::serve

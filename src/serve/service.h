@@ -51,9 +51,9 @@ class Service {
  public:
   explicit Service(ServiceOptions opts = {});
 
-  /// Handles one request line (a JSON object, optionally `{"batch":[...]}`)
-  /// and returns the response line, newline-terminated. Never throws:
-  /// malformed input becomes an `{"ok":false,...}` envelope.
+  /// Handles one request line (a JSON object) and returns the response
+  /// line, newline-terminated. Never throws: malformed input becomes an
+  /// `{"ok":false,...}` envelope.
   std::string handle_line(const std::string& line);
 
   /// True once a `shutdown` request has been accepted; the server stops
@@ -62,8 +62,8 @@ class Service {
     return stop_.load(std::memory_order_acquire);
   }
 
-  /// Cold analyses actually executed (cache misses that ran). The batch
-  /// dedup and zero-steps differential tests assert on this.
+  /// Cold analyses actually executed (cache misses that ran). The cache
+  /// and zero-steps differential tests assert on this.
   [[nodiscard]] std::uint64_t analyses_run() const {
     return analyses_run_.load(std::memory_order_acquire);
   }
@@ -73,15 +73,11 @@ class Service {
  private:
   struct Reply {
     std::string line;  ///< One envelope, no trailing newline.
-    bool counted = false;
     bool hit = false;
-    std::size_t mode_index = 0;
   };
 
-  Reply handle_request(const Json& req);
-  Reply dispatch(const ModeInfo& info, std::size_t mode_index,
-                 const Json& req);
-  std::string safe_request(const Json& req);
+  std::string handle_request(const Json& req);
+  Reply dispatch(const ModeInfo& info, const Json& req);
 
   CacheEntry run_lint_cold(const Json& req);
   CacheEntry run_explore_cold(const Json& req);
@@ -101,7 +97,7 @@ class Service {
   std::atomic<std::uint64_t> analyses_run_{0};
 
   std::mutex memo_mu_;  ///< Guards fp_memo_: one IR reflection per spec,
-                        ///< shared across every request and batch element.
+                        ///< shared across every request.
   std::unordered_map<const analysis::ProtocolSpec*, std::uint64_t> fp_memo_;
 
   std::mutex stats_mu_;  ///< Guards modes_.

@@ -665,16 +665,12 @@ void Sim::violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg) {
   if (hashing_) hash_toggle_viol(violations_.back());
 }
 
-void Sim::set_width_tracking(int reg, bool on) {
-  reg_at(reg).track_width = on;
-}
-
 WriteViolations write_violations(const Register& r, Pid pid,
                                  const Value& v) {
   WriteViolations out;
   out.swmr = r.writer != -1 && r.writer != pid;
   out.write_once = r.write_once && r.writes != 0;
-  if (r.width_bits != kUnbounded && r.track_width) {
+  if (r.width_bits != kUnbounded) {
     // A register with a ⊥ state spends one of its 2^b codes on ⊥, leaving
     // integers 0 … 2^b − 2; a plain bounded register holds 0 … 2^b − 1.
     const std::uint64_t limit =
@@ -717,7 +713,7 @@ void Sim::do_write(Pid pid, int reg, const Value& v) {
                 std::to_string(r.width_bits) +
                 " (one state reserved for ⊥)");
   }
-  if (r.width_bits != kUnbounded && r.track_width && v.is_u64()) {
+  if (r.width_bits != kUnbounded && v.is_u64()) {
     r.max_bits_written = std::max(r.max_bits_written, v.bit_width());
   }
   if (hashing_) {

@@ -42,11 +42,6 @@ struct Register {
   /// writable integers are 0 … 2^b − 2, and the initial value may be ⊥).
   bool allows_bottom = false;
   Value value;
-  /// When false, writes skip the bounded-width checks (Width/Bottom rules)
-  /// and the max_bits_written watermark. Cleared by the analyzer for
-  /// registers whose static bound already proves every write in range
-  /// (see BSR_EXPLORE_STATIC_PREFILTER); on by default.
-  bool track_width = true;
 
   // Accounting (for benches reporting actual register usage).
   long writes = 0;
@@ -348,13 +343,6 @@ class Sim {
   [[nodiscard]] bool violation_collecting() const noexcept {
     return collect_violations_;
   }
-
-  /// Enables or disables per-write width tracking (the Width/Bottom model
-  /// rules and the max_bits_written watermark) for one register. The
-  /// analyzer turns it off for registers whose static bound already proves
-  /// every write in range, so hot exploration loops skip the bit-width
-  /// arithmetic. Set before the first step.
-  void set_width_tracking(int reg, bool on);
 
   /// The violations recorded on the current execution path (collect mode).
   [[nodiscard]] const std::vector<ModelEvent>& model_violations()

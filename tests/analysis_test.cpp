@@ -231,6 +231,18 @@ TEST(Analyzer, Alg1SatisfiesItsClaim) {
   EXPECT_LE(rep.max_bounded_bits_used, spec->claim.max_register_bits);
 }
 
+TEST(Analyzer, Lemma82UsesItsOneDataBit) {
+  // Lemma 8.2 claims 1 data bit + ⊥ per iterated register (2 bits). The
+  // dynamic tier must observe the data bit actually written, not 0: every
+  // write is width-tracked.
+  const ProtocolSpec* spec = find_protocol("lemma82");
+  ASSERT_NE(spec, nullptr);
+  const ProtocolReport rep = analyze_protocol(*spec);
+  EXPECT_EQ(rep.errors(), 0);
+  EXPECT_EQ(rep.max_bounded_bits_used, 1);
+  EXPECT_EQ(spec->claim.max_register_bits, 2);
+}
+
 TEST(Analyzer, MisdeclaredDemoTripsEveryRule) {
   const ProtocolSpec* spec = find_protocol("demo-misdeclared");
   ASSERT_NE(spec, nullptr);

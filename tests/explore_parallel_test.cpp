@@ -10,14 +10,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.h"
-#include "analysis/claims.h"
-#include "analysis/diag.h"
 #include "core/alg1.h"
 #include "core/alg2.h"
 #include "sim/explore.h"
@@ -289,48 +285,6 @@ TEST(ExploreEdgeCases, ThreadResolutionFollowsEnvVar) {
     ::unsetenv(kExploreThreadsEnv);
   } else {
     ::setenv(kExploreThreadsEnv, saved_copy.c_str(), 1);
-  }
-}
-
-TEST(ExploreStaticPrefilter, ErrorFindingsAreUnchanged) {
-  // BSR_EXPLORE_STATIC_PREFILTER lets the analyzer's exploration skip
-  // per-step width tracking for registers the static tier already bounds
-  // strictly below their declaration. Soundness check: the error-severity
-  // findings must be identical with and without the filter, on a clean
-  // protocol and on the canary that trips every rule. (Warnings may differ:
-  // a masked register stops reporting its width-unused slack.)
-  constexpr const char* kEnv = "BSR_EXPLORE_STATIC_PREFILTER";
-  const char* saved = std::getenv(kEnv);
-  const std::string saved_copy = saved == nullptr ? "" : saved;
-
-  const auto error_rules = [](const analysis::ProtocolReport& rep) {
-    std::map<std::string, int> rules;  // rule → count, a multiset
-    for (const analysis::Diagnostic& d : rep.diagnostics) {
-      if (d.severity == analysis::Severity::Error) ++rules[d.rule];
-    }
-    return rules;
-  };
-  // alg1's 2-bit ⊥-capable inputs are statically bounded to 1 bit, so the
-  // filter genuinely masks registers there; on the others every static
-  // bound meets its declaration and the filter is a no-op and must stay
-  // one.
-  for (const char* name :
-       {"alg1", "alg6-labelling", "sec4-quantized", "demo-misdeclared"}) {
-    const analysis::ProtocolSpec* spec = analysis::find_protocol(name);
-    ASSERT_NE(spec, nullptr) << name;
-    ::unsetenv(kEnv);
-    const analysis::ProtocolReport off = analyze_protocol(*spec);
-    ::setenv(kEnv, "1", 1);
-    const analysis::ProtocolReport on = analyze_protocol(*spec);
-    EXPECT_EQ(off.errors(), on.errors()) << name;
-    EXPECT_EQ(error_rules(off), error_rules(on)) << name;
-    EXPECT_EQ(off.executions, on.executions) << name;
-  }
-
-  if (saved == nullptr) {
-    ::unsetenv(kEnv);
-  } else {
-    ::setenv(kEnv, saved_copy.c_str(), 1);
   }
 }
 

@@ -14,11 +14,14 @@
 #include "analysis/static/ir.h"
 #include "analysis/static/steps.h"
 #include "core/alg1.h"
+#include "core/alg2.h"
 #include "core/sec7.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
 #include "sim/tt.h"
 #include "sim/zobrist.h"
+#include "tasks/approx.h"
+#include "topo/bmz.h"
 #include "util/errors.h"
 #include "util/value.h"
 
@@ -125,6 +128,73 @@ TEST(ExploreTTSlow, MatchesReplayOracleOnEveryTerminatingRegistryProtocol) {
       EXPECT_GE(count, 1);
       EXPECT_EQ(kinds, oracle.kinds);
     }
+  }
+}
+
+// Larger paper instantiations than the registry's alg1 k=2 (alg1 k=3 and
+// alg2 with one crash are what bench/bench_explore_tt.cpp times): the
+// pruned search must report exactly the unpruned incremental engine's
+// deduped violations, with no table drop (a full probe window falls back
+// to exploring, which double-counts states).
+TEST(ExploreTTSlow, PrunedSearchKeepsFindingsOnBenchWorkloads) {
+  struct Case {
+    std::string name;
+    Explorer::Factory make;
+    ExploreOptions opts;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t k : {3ull, 4ull}) {
+    Case c{"alg1 k=" + std::to_string(k),
+           [k] {
+             auto sim = std::make_unique<Sim>(2);
+             core::install_alg1(*sim, k, {0, 1});
+             sim->set_violation_collecting(true);
+             return sim;
+           },
+           {}};
+    c.opts.max_steps = 2000;
+    cases.push_back(std::move(c));
+  }
+  {
+    const tasks::ApproxAgreement aa(2, 3);
+    std::vector<Value> domain;
+    for (std::uint64_t v = 0; v <= 3; ++v) domain.emplace_back(v);
+    const topo::Bmz2 bmz(tasks::materialize(aa, domain));
+    Case c{"alg2 crashes<=1",
+           [plan = bmz.plan()] {
+             auto sim = std::make_unique<Sim>(2);
+             core::install_alg2(*sim, plan,
+                                tasks::Config{Value(0), Value(1)});
+             sim->set_violation_collecting(true);
+             return sim;
+           },
+           {}};
+    c.opts.max_steps = 500;
+    c.opts.max_crashes = 1;
+    cases.push_back(std::move(c));
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto run = [&c](std::shared_ptr<TranspositionTable> tt) {
+      ExploreOptions opts = c.opts;
+      opts.threads = 1;
+      opts.tt = std::move(tt);
+      Observed obs;
+      obs.count = Explorer(opts).explore(
+          c.make, [&obs](Sim& sim, const std::vector<Choice>&) {
+            for (const ModelEvent& e : sim.model_violations()) {
+              obs.violations.insert(violation_key(e));
+            }
+          });
+      return obs;
+    };
+    const Observed plain = run(nullptr);
+    auto tt = std::make_shared<TranspositionTable>(std::size_t{1} << 22);
+    const Observed pruned = run(tt);
+    EXPECT_EQ(tt->stats().drops, 0);
+    EXPECT_EQ(pruned.violations, plain.violations);
+    EXPECT_LT(pruned.count, plain.count);
   }
 }
 

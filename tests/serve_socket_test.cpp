@@ -7,9 +7,12 @@
 
 #include <unistd.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -102,23 +105,6 @@ TEST(ServeSocket, RoundtripThenCachedRepeat) {
   EXPECT_EQ(recolored, warm);
 }
 
-TEST(ServeSocket, BatchedRequestOverTheWire) {
-  serve::ServerOptions opts;
-  opts.socket_path = scratch_socket("batch");
-  Daemon daemon(opts);
-
-  const std::string resp = serve::client_roundtrip(
-      daemon.socket(), std::string("{\"batch\":[") + kLintStaticAlg1 + "," +
-                           kLintStaticAlg1 + "]}");
-  const serve::Json r = parse_line(resp);
-  ASSERT_TRUE(r.bool_or("ok", false)) << resp;
-  const serve::Json* batch = r.get("batch");
-  ASSERT_NE(batch, nullptr);
-  ASSERT_EQ(batch->array().size(), 2u);
-  EXPECT_FALSE(batch->array()[0].bool_or("cached", true));
-  EXPECT_TRUE(batch->array()[1].bool_or("cached", false));
-}
-
 TEST(ServeSocket, FullQueueAnswersOverloadedImmediately) {
   serve::ServerOptions opts;
   opts.socket_path = scratch_socket("overload");
@@ -127,13 +113,14 @@ TEST(ServeSocket, FullQueueAnswersOverloadedImmediately) {
   Daemon daemon(opts);
 
   // Occupy the single worker, then the single queue slot, with sleep
-  // requests (the dispatch table's test aid for exactly this path).
-  std::thread busy([&] {
+  // requests (the dispatch table's test aid for exactly this path). The
+  // jthreads join on every exit path, including a failed assertion.
+  const std::jthread busy([&] {
     (void)serve::client_roundtrip(daemon.socket(),
                                   R"({"mode":"sleep","ms":1200})");
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  std::thread queued([&] {
+  const std::jthread queued([&] {
     (void)serve::client_roundtrip(daemon.socket(),
                                   R"({"mode":"sleep","ms":10})");
   });
@@ -149,9 +136,37 @@ TEST(ServeSocket, FullQueueAnswersOverloadedImmediately) {
   EXPECT_FALSE(r.bool_or("ok", true)) << refusal;
   EXPECT_EQ(r.str_or("error", ""), "overloaded");
   EXPECT_LT(std::chrono::duration<double>(waited).count(), 1.0);
+}
 
-  busy.join();
-  queued.join();
+TEST(ServeSocket, ClientReadsARefusalWrittenBeforeItsSendFails) {
+  // The overloaded acceptor writes its refusal and closes without reading
+  // the request. A request larger than the socket buffer then fails to
+  // send, and the client must still return the refusal it can read.
+  const std::string path = scratch_socket("refuse");
+  const std::string refusal = R"({"ok":false,"error":"overloaded"})";
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  ::unlink(path.c_str());
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  const std::jthread acceptor([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const std::string line = refusal + "\n";
+    (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+
+  const std::string big =
+      R"({"mode":"stats","pad":")" + std::string(8u << 20, 'x') + "\"}";
+  EXPECT_EQ(serve::client_roundtrip(path, big), refusal);
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 TEST(ServeSocket, ShutdownDrainsAndUnlinksTheSocket) {

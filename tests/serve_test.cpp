@@ -241,24 +241,6 @@ TEST(Service, RepeatRequestRunsZeroSimulatorSteps) {
   EXPECT_EQ(service.analyses_run(), 1u);
 }
 
-TEST(Service, BatchRunsOneAnalysisPerDistinctKey) {
-  serve::Service service;
-  const std::string batch = std::string("{\"batch\":[") + kLintStaticAlg1 +
-                            "," + kLintStaticAlg1 + "," + kLintStaticAlg1 +
-                            "]}";
-  const std::string resp = service.handle_line(batch);
-  EXPECT_EQ(service.analyses_run(), 1u);
-  // First element cold, the rest served from the cache, in order.
-  const std::size_t cold_at = resp.find("\"cached\":false");
-  const std::size_t warm_at = resp.find("\"cached\":true");
-  ASSERT_NE(cold_at, std::string::npos);
-  ASSERT_NE(warm_at, std::string::npos);
-  EXPECT_LT(cold_at, warm_at);
-  const serve::CacheStats s = service.cache_stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 2u);
-}
-
 std::string extract_key(const std::string& envelope) {
   const std::size_t at = envelope.find("\"key\":\"");
   EXPECT_NE(at, std::string::npos) << envelope;
@@ -309,17 +291,12 @@ TEST(Service, ErrorEnvelopes) {
                      R"({"mode":"lint","protocols":["no-such-protocol"]})")
                 .find("unknown protocol"),
             std::string::npos);
-  EXPECT_NE(service.handle_line(R"({"batch":[{"batch":[]}]})")
-                .find("batches cannot nest"),
-            std::string::npos);
+  // A line without a mode, such as a `batch` wrapper, is a usage error.
+  EXPECT_TRUE(service.handle_line(R"({"batch":[{"mode":"stats"}]})")
+                  .starts_with("{\"ok\":false,\"error\":\"usage\""));
   EXPECT_NE(service.handle_line(R"({"mode":"explore","k":99})")
                 .find("must be in"),
             std::string::npos);
-  // A failing element does not poison the rest of its batch.
-  const std::string mixed = service.handle_line(
-      R"({"batch":[{"mode":"fly"},{"mode":"stats"}]})");
-  EXPECT_NE(mixed.find("\"error\":\"usage\""), std::string::npos);
-  EXPECT_NE(mixed.find("\"mode\":\"stats\""), std::string::npos);
 }
 
 TEST(Service, StatsReportsCacheAndPerModeCounters) {

@@ -70,16 +70,12 @@
 //       (the fragment update_goldens.sh splices into docs/SERVE.md).
 //   bsr serve [--socket PATH] [--workers N] [--queue N]
 //             [--cache-entries N] [--cache-bytes N]
-//       Run the batched analysis daemon: newline-delimited JSON requests
+//       Run the analysis daemon: newline-delimited JSON requests
 //       over an AF_UNIX socket, answered by a worker pool with an IR-keyed
 //       result cache. With --request JSON, act as a client instead (one
 //       request, print the response line, exit 0 ok / 1 findings / 2 usage
 //       or transport error / 3 overloaded); --loopback answers --request
 //       in-process without a daemon. docs/SERVE.md is the wire contract.
-//   bsr bench serve
-//       Run the serve benchmark (cold vs warm cache, batched vs unbatched)
-//       and write BENCH_serve.json; exits nonzero if the warm-cache
-//       speedup falls below the committed acceptance bar.
 //
 // Flags may be spelled `--key value` or `--key=value`.
 #include <algorithm>
@@ -96,7 +92,6 @@
 
 #include "analysis/doc.h"
 #include "analysis/lint.h"
-#include "serve/bench.h"
 #include "serve/json.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -147,9 +142,9 @@ struct Args {
   }
 };
 
-Args parse(int argc, char** argv, int first) {
+Args parse(int argc, char** argv) {
   Args a;
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) continue;
     key = key.substr(2);
@@ -552,7 +547,7 @@ constexpr const char* kServeUsage =
        bsr serve --request JSON --loopback
 
 Daemon mode (no --request): listen on an AF_UNIX socket for
-newline-delimited JSON requests ({"mode":"lint",...}, {"batch":[...]}, ...)
+newline-delimited JSON requests ({"mode":"lint",...}, ...)
 and answer them from a worker pool with an IR-keyed result cache. A
 `shutdown` request, SIGINT, or SIGTERM drains in-flight work and exits.
 docs/SERVE.md is the full request/response contract.
@@ -576,18 +571,10 @@ exit codes (client/loopback):
   3  daemon overloaded (queue full; retry later)
 )";
 
-/// Maps a response envelope to the client exit code above. Batch envelopes
-/// take the worst element.
+/// Maps a response envelope to the client exit code above.
 int response_exit(const serve::Json& r) {
   if (!r.bool_or("ok", false)) {
     return r.str_or("error", "") == "overloaded" ? 3 : 2;
-  }
-  if (const serve::Json* batch = r.get("batch")) {
-    int worst = 0;
-    for (const serve::Json& e : batch->array()) {
-      worst = std::max(worst, response_exit(e));
-    }
-    return worst;
   }
   return r.num_or("exit", 0) == 0 ? 0 : 1;
 }
@@ -632,30 +619,18 @@ int cmd_serve(const Args& a) {
   }
 }
 
-int cmd_bench(const Args&, const std::string& which) {
-  if (which == "serve") return serve::run_serve_bench(std::cout);
-  std::cerr << "bsr bench: unknown benchmark '" << which
-            << "' (expected: serve)\n";
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::cout << "usage: bsr <agree|fast|stack|adversary|iis|trace|explore"
-                 "|lint|doc|serve|bench> [--flags]\n"
+                 "|lint|doc|serve> [--flags]\n"
                  "see the header comment of tools/bsr_cli.cpp\n";
     return 2;
   }
   const std::string cmd = argv[1];
-  // `bsr bench <name>` carries a positional subcommand; flags start after.
-  const bool is_bench = cmd == "bench";
-  const Args args = parse(argc, argv, is_bench ? 3 : 2);
+  const Args args = parse(argc, argv);
   try {
-    if (is_bench) {
-      return cmd_bench(args, argc >= 3 ? argv[2] : "");
-    }
     if (cmd == "agree") return cmd_agree(args);
     if (cmd == "fast") return cmd_fast(args);
     if (cmd == "stack") return cmd_stack(args);
