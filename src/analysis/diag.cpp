@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 namespace bsr::analysis {
 
@@ -144,116 +143,100 @@ void TextSink::close(int errors, int warnings) {
   os_ << "lint: " << errors << " error(s), " << warnings << " warning(s)\n";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void JsonSink::report(const ProtocolReport& r) { reports_.push_back(r); }
 
 void JsonSink::close(int errors, int warnings) {
-  std::ostringstream os;
-  os << "{\"protocols\":[";
-  for (std::size_t i = 0; i < reports_.size(); ++i) {
-    const ProtocolReport& r = reports_[i];
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << json_escape(r.name) << "\",\"mode\":\""
-       << to_string(r.mode) << "\",\"claim_source\":\""
-       << json_escape(r.claim_source) << "\",\"sampled\":"
-       << (r.sampled ? "true" : "false") << ",\"executions\":" << r.executions
-       << ",\"max_bounded_bits_used\":" << r.max_bounded_bits_used
-       << ",\"claimed_register_bits\":" << r.claimed_register_bits
-       << ",\"claimed_bits_expr\":\"" << json_escape(r.claimed_bits_expr)
-       << "\",\"claim_verified\":\"" << json_escape(r.claim_verified)
-       << "\",\"registers\":[";
-    for (std::size_t j = 0; j < r.registers.size(); ++j) {
-      const RegisterAudit& a = r.registers[j];
-      if (j > 0) os << ",";
-      os << "{\"index\":" << a.reg << ",\"name\":\"" << json_escape(a.name)
-         << "\",\"writer\":" << a.writer
-         << ",\"declared_bits\":" << a.declared_bits
-         << ",\"write_once\":" << (a.write_once ? "true" : "false")
-         << ",\"allows_bottom\":" << (a.allows_bottom ? "true" : "false")
-         << ",\"max_bits\":" << a.max_bits
-         << ",\"max_writes\":" << a.max_writes
-         << ",\"read\":" << (a.read ? "true" : "false") << ",\"sym_bits\":\""
-         << json_escape(a.sym_bits) << "\",\"verified\":\""
-         << json_escape(a.verified) << "\"}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("protocols").begin_array();
+  for (const ProtocolReport& r : reports_) {
+    w.begin_object();
+    w.key("name").str(r.name);
+    w.key("mode").str(to_string(r.mode));
+    w.key("claim_source").str(r.claim_source);
+    w.key("sampled").boolean(r.sampled);
+    w.key("executions").num(r.executions);
+    w.key("max_bounded_bits_used").num(r.max_bounded_bits_used);
+    w.key("claimed_register_bits").num(r.claimed_register_bits);
+    w.key("claimed_bits_expr").str(r.claimed_bits_expr);
+    w.key("claim_verified").str(r.claim_verified);
+    w.key("registers").begin_array();
+    for (const RegisterAudit& a : r.registers) {
+      w.begin_object();
+      w.key("index").num(a.reg);
+      w.key("name").str(a.name);
+      w.key("writer").num(a.writer);
+      w.key("declared_bits").num(a.declared_bits);
+      w.key("write_once").boolean(a.write_once);
+      w.key("allows_bottom").boolean(a.allows_bottom);
+      w.key("max_bits").num(a.max_bits);
+      w.key("max_writes").num(a.max_writes);
+      w.key("read").boolean(a.read);
+      w.key("sym_bits").str(a.sym_bits);
+      w.key("verified").str(a.verified);
+      w.end_object();
     }
-    os << "],\"diagnostics\":[";
-    for (std::size_t j = 0; j < r.diagnostics.size(); ++j) {
-      const Diagnostic& d = r.diagnostics[j];
-      if (j > 0) os << ",";
-      os << "{\"rule\":\"" << json_escape(d.rule) << "\",\"severity\":\""
-         << to_string(d.severity) << "\",\"pid\":" << d.pid
-         << ",\"register\":" << d.reg << ",\"register_name\":\""
-         << json_escape(d.reg_name) << "\",\"step\":" << d.step
-         << ",\"fingerprint\":\"" << json_escape(d.fingerprint)
-         << "\",\"message\":\"" << json_escape(d.message) << "\"}";
+    w.end_array().key("diagnostics").begin_array();
+    for (const Diagnostic& d : r.diagnostics) {
+      w.begin_object();
+      w.key("rule").str(d.rule);
+      w.key("severity").str(to_string(d.severity));
+      w.key("pid").num(d.pid);
+      w.key("register").num(d.reg);
+      w.key("register_name").str(d.reg_name);
+      w.key("step").num(d.step);
+      w.key("fingerprint").str(d.fingerprint);
+      w.key("message").str(d.message);
+      w.end_object();
     }
-    os << "]";
+    w.end_array();
     if (r.mode == Mode::Interference) {
       // Interference tier: totals over the full op-pair relation plus the
       // (possibly truncated) pair detail. Documented in docs/ANALYSIS.md.
-      os << ",\"interference\":{\"ops\":" << r.interference_ops
-         << ",\"pairs\":" << r.interference_pairs
-         << ",\"independent\":" << r.interference_independent
-         << ",\"truncated\":" << (r.interference_truncated ? "true" : "false")
-         << ",\"detail\":[";
-      for (std::size_t j = 0; j < r.interference.size(); ++j) {
-        const InterferencePair& p = r.interference[j];
-        if (j > 0) os << ",";
-        os << "{\"a\":\"" << json_escape(p.a) << "\",\"b\":\""
-           << json_escape(p.b) << "\",\"independent\":"
-           << (p.independent ? "true" : "false") << ",\"reason\":\""
-           << json_escape(p.reason) << "\"}";
+      w.key("interference").begin_object();
+      w.key("ops").num(r.interference_ops);
+      w.key("pairs").num(r.interference_pairs);
+      w.key("independent").num(r.interference_independent);
+      w.key("truncated").boolean(r.interference_truncated);
+      w.key("detail").begin_array();
+      for (const InterferencePair& p : r.interference) {
+        w.begin_object();
+        w.key("a").str(p.a);
+        w.key("b").str(p.b);
+        w.key("independent").boolean(p.independent);
+        w.key("reason").str(p.reason);
+        w.end_object();
       }
-      os << "]}";
+      w.end_array().end_object();
     }
     if (r.mode == Mode::Steps) {
       // Step tier: the claim, the aggregate verdict, and one row per
       // process. Documented in docs/ANALYSIS.md.
-      os << ",\"steps\":{\"claim\":\"" << json_escape(r.step_claim_expr)
-         << "\",\"claim_source\":\"" << json_escape(r.step_claim_source)
-         << "\",\"verified\":\"" << json_escape(r.step_verified)
-         << "\",\"processes\":[";
-      for (std::size_t j = 0; j < r.steps.size(); ++j) {
-        const StepAudit& a = r.steps[j];
-        if (j > 0) os << ",";
-        os << "{\"pid\":" << a.pid << ",\"bound\":\"" << json_escape(a.bound)
-           << "\",\"finite\":" << (a.finite ? "true" : "false")
-           << ",\"serve\":" << (a.serve ? "true" : "false")
-           << ",\"bound_eval\":" << a.bound_eval
-           << ",\"observed\":" << a.observed << ",\"verified\":\""
-           << json_escape(a.verified) << "\"}";
+      w.key("steps").begin_object();
+      w.key("claim").str(r.step_claim_expr);
+      w.key("claim_source").str(r.step_claim_source);
+      w.key("verified").str(r.step_verified);
+      w.key("processes").begin_array();
+      for (const StepAudit& a : r.steps) {
+        w.begin_object();
+        w.key("pid").num(a.pid);
+        w.key("bound").str(a.bound);
+        w.key("finite").boolean(a.finite);
+        w.key("serve").boolean(a.serve);
+        w.key("bound_eval").num(a.bound_eval);
+        w.key("observed").num(a.observed);
+        w.key("verified").str(a.verified);
+        w.end_object();
       }
-      os << "]}";
+      w.end_array().end_object();
     }
-    os << "}";
+    w.end_object();
   }
-  os << "],\"errors\":" << errors << ",\"warnings\":" << warnings << "}";
-  os_ << os.str() << "\n";
+  w.end_array();
+  w.key("errors").num(errors);
+  w.key("warnings").num(warnings);
+  w.end_object();
+  os_ << out << "\n";
 }
 
 }  // namespace bsr::analysis

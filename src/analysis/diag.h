@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/sched.h"
+#include "util/json.h"
 
 namespace bsr::analysis {
 
@@ -200,9 +201,8 @@ class JsonSink : public DiagnosticSink {
   std::vector<ProtocolReport> reports_;
 };
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters; non-ASCII bytes pass through, so UTF-8
-/// register names such as ⊥ stay readable).
-[[nodiscard]] std::string json_escape(const std::string& s);
+/// Alias kept for perfbench/, which names the escaper
+/// bsr::analysis::json_escape; everything else uses util/json.h directly.
+using bsr::json_escape;
 
 }  // namespace bsr::analysis

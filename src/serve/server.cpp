@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/errors.h"
+#include "util/json.h"
 
 namespace bsr::serve {
 
@@ -157,8 +158,8 @@ int run_server(const ServerOptions& opts, std::ostream& log) {
     // Queue full: structured refusal, then close. The client maps this to
     // exit 3 and may retry with backoff.
     send_all(fd,
-             "{\"ok\":false,\"error\":\"overloaded\",\"message\":\"request "
-             "queue full; retry later\"}\n");
+             error_envelope("overloaded", "request queue full; retry later") +
+                 "\n");
     ::close(fd);
   }
 
@@ -211,6 +212,13 @@ std::string client_roundtrip(const std::string& socket_path,
   usage_check(nl != std::string::npos,
               "daemon closed the connection without a response");
   return resp.substr(0, nl);
+}
+
+int client_exit(const Json& response) {
+  if (!response.bool_or("ok", false)) {
+    return response.str_or("error", "") == "overloaded" ? 3 : 2;
+  }
+  return response.num_or("exit", 0) == 0 ? 0 : 1;
 }
 
 }  // namespace bsr::serve

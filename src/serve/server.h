@@ -40,4 +40,9 @@ int run_server(const ServerOptions& opts, std::ostream& log);
 std::string client_roundtrip(const std::string& socket_path,
                              const std::string& request);
 
+/// Maps a response envelope to the client's exit code: 0 ok with payload
+/// exit 0, 1 ok with findings, 2 usage, transport or analysis error, 3
+/// daemon overloaded (docs/SERVE.md).
+[[nodiscard]] int client_exit(const Json& response);
+
 }  // namespace bsr::serve

@@ -5,19 +5,19 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "analysis/claims.h"
-#include "analysis/diag.h"
 #include "analysis/doc.h"
 #include "analysis/lint.h"
 #include "analysis/static/fingerprint.h"
 #include "core/alg1.h"
-#include "serve/json.h"
 #include "sim/explore.h"
 #include "sim/sim.h"
 #include "util/errors.h"
+#include "util/json.h"
 
 namespace bsr::serve {
 
@@ -36,25 +36,25 @@ constexpr long kMaxExploreCrashes = 4;
 constexpr long kMaxExploreSteps = 1'000'000;
 constexpr long kMaxSleepMs = 60'000;
 
-std::string error_envelope(const char* category, const std::string& message) {
-  return std::string("{\"ok\":false,\"error\":\"") + category +
-         "\",\"message\":\"" + analysis::json_escape(message) + "\"}";
-}
-
 std::string ok_envelope(const ModeInfo& info, bool cached, std::uint64_t key,
                         const CacheEntry& entry) {
-  std::ostringstream os;
-  os << "{\"ok\":true,\"mode\":\"" << info.mode
-     << "\",\"cached\":" << (cached ? "true" : "false");
-  if (info.cacheable) os << ",\"key\":\"" << air::fp_hex(key) << "\"";
-  os << ",\"exit\":" << entry.exit << ",\"payload\":";
-  if (std::string(info.payload) == "json") {
-    os << entry.body;
+  std::string out;
+  out.reserve(entry.body.size() + 96);
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("ok").boolean(true);
+  w.key("mode").str(info.mode);
+  w.key("cached").boolean(cached);
+  if (info.cacheable) w.key("key").str(air::fp_hex(key));
+  w.key("exit").num(entry.exit);
+  w.key("payload");
+  if (std::string_view(info.payload) == "json") {
+    w.raw(entry.body);
   } else {
-    os << '"' << analysis::json_escape(entry.body) << '"';
+    w.str(entry.body);
   }
-  os << "}";
-  return os.str();
+  w.end_object();
+  return out;
 }
 
 // Strips the producer's single trailing newline: payloads are embedded in a
@@ -99,6 +99,18 @@ long bounded_num(const Json& req, const std::string& key, long def, long lo,
 }
 
 }  // namespace
+
+std::string error_envelope(std::string_view category,
+                           std::string_view message) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("ok").boolean(false);
+  w.key("error").str(category);
+  w.key("message").str(message);
+  w.end_object();
+  return out;
+}
 
 Service::Service(ServiceOptions opts)
     : opts_(opts), cache_(opts.cache_entries, opts.cache_bytes) {
@@ -264,14 +276,21 @@ CacheEntry Service::run_explore_cold(const Json& req) {
         }
       });
 
-  std::ostringstream os;
-  os << "{\"protocol\":\"alg1\",\"k\":" << k << ",\"crashes\":" << crashes
-     << ",\"max_steps\":" << max_steps << ",\"executions\":" << execs
-     << ",\"decisions\":{\"min\":" << (min_y == ~0ULL ? 0 : min_y)
-     << ",\"max\":" << max_y
-     << ",\"denominator\":" << core::alg1_denominator(k)
-     << ",\"max_gap\":" << max_gap << "}}";
-  return CacheEntry{max_gap <= 1 ? 0 : 1, os.str()};
+  std::string body;
+  JsonWriter w(body);
+  w.begin_object();
+  w.key("protocol").str("alg1");
+  w.key("k").num(k);
+  w.key("crashes").num(crashes);
+  w.key("max_steps").num(max_steps);
+  w.key("executions").num(execs);
+  w.key("decisions").begin_object();
+  w.key("min").num(min_y == ~0ULL ? 0 : min_y);
+  w.key("max").num(max_y);
+  w.key("denominator").num(core::alg1_denominator(k));
+  w.key("max_gap").num(max_gap);
+  w.end_object().end_object();
+  return CacheEntry{max_gap <= 1 ? 0 : 1, std::move(body)};
 }
 
 CacheEntry Service::run_doc_cold() {
@@ -282,23 +301,31 @@ CacheEntry Service::run_doc_cold() {
 
 std::string Service::stats_payload() {
   const CacheStats cs = cache_.stats();
-  std::ostringstream os;
-  os << "{\"cache\":{\"hits\":" << cs.hits << ",\"misses\":" << cs.misses
-     << ",\"evictions\":" << cs.evictions << ",\"entries\":" << cs.entries
-     << ",\"bytes\":" << cs.bytes << "},\"analyses_run\":"
-     << analyses_run_.load(std::memory_order_acquire) << ",\"modes\":[";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("cache").begin_object();
+  w.key("hits").num(cs.hits);
+  w.key("misses").num(cs.misses);
+  w.key("evictions").num(cs.evictions);
+  w.key("entries").num(cs.entries);
+  w.key("bytes").num(cs.bytes);
+  w.end_object();
+  w.key("analyses_run").num(analyses_run_.load(std::memory_order_acquire));
+  w.key("modes").begin_array();
   std::size_t count = 0;
   const ModeInfo* table = dispatch_table(&count);
   const std::lock_guard<std::mutex> lock(stats_mu_);
   for (std::size_t i = 0; i < count; ++i) {
-    if (i > 0) os << ",";
-    os << "{\"mode\":\"" << table[i].mode
-       << "\",\"requests\":" << modes_[i].requests
-       << ",\"cache_hits\":" << modes_[i].cache_hits
-       << ",\"total_us\":" << modes_[i].total_us << "}";
+    w.begin_object();
+    w.key("mode").str(table[i].mode);
+    w.key("requests").num(modes_[i].requests);
+    w.key("cache_hits").num(modes_[i].cache_hits);
+    w.key("total_us").num(modes_[i].total_us);
+    w.end_object();
   }
-  os << "]}";
-  return os.str();
+  w.end_array().end_object();
+  return out;
 }
 
 Service::Reply Service::dispatch(const ModeInfo& info, const Json& req) {
@@ -338,10 +365,14 @@ Service::Reply Service::dispatch(const ModeInfo& info, const Json& req) {
   } else if (mode == "sleep") {
     const long ms = bounded_num(req, "ms", 0, 0, kMaxSleepMs);
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    entry.body = "{\"slept_ms\":" + std::to_string(ms) + "}";
+    JsonWriter(entry.body).begin_object().key("slept_ms").num(ms).end_object();
   } else {  // shutdown
     stop_.store(true, std::memory_order_release);
-    entry.body = "{\"stopping\":true}";
+    JsonWriter(entry.body)
+        .begin_object()
+        .key("stopping")
+        .boolean(true)
+        .end_object();
   }
   r.line = ok_envelope(info, /*cached=*/false, 0, entry);
   return r;

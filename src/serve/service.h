@@ -15,11 +15,16 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "serve/cache.h"
 #include "serve/modes.h"
+
+namespace bsr {
+class Json;
+}  // namespace bsr
 
 namespace bsr::analysis {
 struct ProtocolSpec;
@@ -27,7 +32,11 @@ struct ProtocolSpec;
 
 namespace bsr::serve {
 
-class Json;
+/// The `{"ok":false,"error":<category>,"message":<message>}` envelope, no
+/// trailing newline. Shared by Service and the transport's `overloaded`
+/// refusal.
+[[nodiscard]] std::string error_envelope(std::string_view category,
+                                         std::string_view message);
 
 struct ServiceOptions {
   std::size_t cache_entries = 1024;         ///< LRU entry budget.

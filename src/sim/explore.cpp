@@ -109,12 +109,10 @@ std::vector<Choice> legal_choices(const Sim& sim, int crashes_so_far,
     const std::vector<Pid> sources = sim.recv_choices(p);
     if (sources.empty()) {
       out.push_back(Choice{Choice::Kind::Step, p, -1});
-    } else if (opts.explore_recv_choices) {
+    } else {
       for (Pid from : sources) {
         out.push_back(Choice{Choice::Kind::Step, p, from});
       }
-    } else {
-      out.push_back(Choice{Choice::Kind::Step, p, sources.front()});
     }
   }
   if (crashes_so_far < opts.max_crashes) {

@@ -49,8 +49,6 @@ struct ExploreOptions {
   long max_steps = 10'000;
   /// The adversary may crash up to this many processes (t of the model).
   int max_crashes = 0;
-  /// Enumerate the sender choice of Recv steps (otherwise lowest-pid first).
-  bool explore_recv_choices = true;
   /// Abort after visiting this many complete executions (-1 = unlimited).
   long max_executions = -1;
   /// Worker threads. 1 = serial; 0 = resolve from BSR_EXPLORE_THREADS

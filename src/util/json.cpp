@@ -1,17 +1,43 @@
-#include "serve/json.h"
+#include "util/json.h"
 
 #include <cctype>
-#include <cstddef>
+#include <system_error>
 
 #include "util/errors.h"
 
-namespace bsr::serve {
+namespace bsr {
 
 namespace {
 
 [[noreturn]] void bad(const std::string& what, std::size_t pos) {
   throw UsageError("malformed request JSON: " + what + " at byte " +
                    std::to_string(pos));
+}
+
+/// The escaping routine behind json_escape and JsonWriter: appends `s` to
+/// `out`, copying runs that need no escape in one go.
+void escape_into(std::string& out, std::string_view s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        out += "\\u00";
+        out += "0123456789abcdef"[c >> 4];
+        out += "0123456789abcdef"[c & 0xf];
+    }
+  }
+  out.append(s, run, s.size() - run);
 }
 
 }  // namespace
@@ -106,8 +132,15 @@ class JsonParser {
 
   Json value() {
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        bad("nesting deeper than " + std::to_string(kMaxJsonDepth), pos_);
+      }
+      ++depth_;
+      Json v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Json v;
       v.kind_ = Json::Kind::String;
@@ -140,22 +173,14 @@ class JsonParser {
         case 't': out += '\t'; break;
         case 'u': {
           if (pos_ + 4 > s_.size()) bad("truncated \\u escape", pos_);
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += h - '0';
-            } else if (h >= 'a' && h <= 'f') {
-              code += 10 + (h - 'a');
-            } else if (h >= 'A' && h <= 'F') {
-              code += 10 + (h - 'A');
-            } else {
-              bad("bad \\u escape", pos_);
-            }
+          const char* const hex = s_.data() + pos_;
+          unsigned code = 0;
+          if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+            bad("bad \\u escape", pos_);
           }
-          // The wire protocol only escapes control bytes; reject the
-          // surrogate range instead of silently mangling it.
+          pos_ += 4;
+          // Producers only escape control bytes; reject the surrogate
+          // range instead of silently mangling it.
           if (code > 0x7f) bad("non-ASCII \\u escape (send raw UTF-8)", pos_);
           out += static_cast<char>(code);
           break;
@@ -168,41 +193,26 @@ class JsonParser {
   }
 
   Json literal() {
-    Json v;
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      v.kind_ = Json::Kind::Bool;
-      v.bool_ = true;
-    } else if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      v.kind_ = Json::Kind::Bool;
-      v.bool_ = false;
-    } else if (s_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      v.kind_ = Json::Kind::Null;
-    } else {
-      bad("bad literal", pos_);
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (s_.compare(pos_, word.size(), word) != 0) continue;
+      pos_ += word.size();
+      Json v;
+      v.kind_ = word == "null" ? Json::Kind::Null : Json::Kind::Bool;
+      v.bool_ = word == "true";
+      return v;
     }
-    return v;
+    bad("bad literal", pos_);
   }
 
   Json number() {
-    std::size_t end = pos_;
-    if (end < s_.size() && s_[end] == '-') ++end;
-    const std::size_t digits = end;
-    while (end < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[end])) != 0) {
-      ++end;
-    }
-    if (end == digits) bad("bad number", pos_);
     Json v;
     v.kind_ = Json::Kind::Number;
-    try {
-      v.num_ = std::stol(s_.substr(pos_, end - pos_));
-    } catch (const std::exception&) {
-      bad("number out of range", pos_);
-    }
-    pos_ = end;
+    const char* const begin = s_.data() + pos_;
+    const std::from_chars_result r =
+        std::from_chars(begin, s_.data() + s_.size(), v.num_);
+    if (r.ec == std::errc::invalid_argument) bad("bad number", pos_);
+    if (r.ec != std::errc()) bad("number out of range", pos_);
+    pos_ += static_cast<std::size_t>(r.ptr - begin);
     return v;
   }
 
@@ -238,8 +248,54 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Open arrays and objects around pos_.
 };
 
 Json Json::parse(const std::string& text) { return JsonParser(text).parse(); }
 
-}  // namespace bsr::serve
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  escape_into(out, s);
+  return out;
+}
+
+JsonWriter& JsonWriter::open(char c) {
+  if (comma_) out_ += ',';
+  out_ += c;
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char c) {
+  out_ += c;
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  str(k);
+  out_ += ':';
+  comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::str(std::string_view s) {
+  if (comma_) out_ += ',';
+  out_ += '"';
+  escape_into(out_, s);
+  out_ += '"';
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool b) { return raw(b ? "true" : "false"); }
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  if (comma_) out_ += ',';
+  out_ += json;
+  comma_ = true;
+  return *this;
+}
+
+}  // namespace bsr

@@ -179,17 +179,6 @@ TEST(Sinks, JsonFormatEscapesAndAggregates) {
   EXPECT_NE(out.find("\"errors\":1,\"warnings\":1}"), std::string::npos);
 }
 
-TEST(Sinks, JsonEscape) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(json_escape("⊥"), "⊥");  // UTF-8 passes through.
-  // Backspace and form feed have dedicated short escapes, not \u codes.
-  EXPECT_EQ(json_escape("\b\f\r\t"), "\\b\\f\\r\\t");
-  // A register name that is nothing but quotes and backslashes stays a
-  // valid JSON string literal.
-  EXPECT_EQ(json_escape("\"\\\""), "\\\"\\\\\\\"");
-}
-
 TEST(Claims, RegistryIsWellFormed) {
   const auto& specs = builtin_protocols();
   ASSERT_FALSE(specs.empty());

@@ -212,15 +212,13 @@ TEST(ExplorePor, KeepsBothWriteOnceBlameOrders) {
 }
 
 TEST(ExplorePor, PreservesChannelSemanticsOnRecvRace) {
-  ExploreOptions opts;
-  opts.explore_recv_choices = true;
-  const Observed oracle = replay_oracle(make_recv_race, opts);
+  const Observed oracle = replay_oracle(make_recv_race, ExploreOptions{});
   // Message orders (10,20) and (20,10) are distinguishable by the receiver.
   EXPECT_GE(oracle.finals.size(), 2u);
 
-  const Observed por = por_run(make_recv_race, opts);
+  const Observed por = por_run(make_recv_race, ExploreOptions{});
   EXPECT_EQ(por.finals, oracle.finals);
-  const Observed por_tt = por_tt_run(make_recv_race, opts);
+  const Observed por_tt = por_tt_run(make_recv_race, ExploreOptions{});
   EXPECT_EQ(por_tt.finals, oracle.finals);
   EXPECT_EQ(por_tt.count, static_cast<long>(oracle.finals.size()));
 }

@@ -160,10 +160,8 @@ TEST(ExploreTT, PrunesToDistinctFinalStatesOnPairRace) {
 }
 
 TEST(ExploreTT, PreservesChannelStatesOnRecvRace) {
-  ExploreOptions opts;
-  opts.explore_recv_choices = true;
-  const Observed oracle = replay_oracle(make_recv_race, opts);
-  const Observed tt = tt_run(make_recv_race, opts);
+  const Observed oracle = replay_oracle(make_recv_race, ExploreOptions{});
+  const Observed tt = tt_run(make_recv_race, ExploreOptions{});
   EXPECT_EQ(tt.count, static_cast<long>(oracle.finals.size()));
   EXPECT_EQ(tt.finals, oracle.finals);
 }
@@ -209,10 +207,8 @@ TEST(ExploreTT, ParallelCountMatchesSerialCount) {
   EXPECT_EQ(par.count, serial.count);
   EXPECT_EQ(par.finals, serial.finals);
 
-  ExploreOptions opts;
-  opts.explore_recv_choices = true;
-  const Observed serial2 = tt_run(make_recv_race, opts);
-  const Observed par2 = tt_run(make_recv_race, opts, false, 4);
+  const Observed serial2 = tt_run(make_recv_race, ExploreOptions{});
+  const Observed par2 = tt_run(make_recv_race, ExploreOptions{}, false, 4);
   EXPECT_EQ(par2.count, serial2.count);
   EXPECT_EQ(par2.finals, serial2.finals);
 }

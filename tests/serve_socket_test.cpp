@@ -17,8 +17,8 @@
 #include <string>
 #include <thread>
 
-#include "serve/json.h"
 #include "serve/server.h"
+#include "util/json.h"
 
 namespace {
 
@@ -77,10 +77,6 @@ class Daemon {
   std::thread thread_;
 };
 
-serve::Json parse_line(const std::string& line) {
-  return serve::Json::parse(line);
-}
-
 TEST(ServeSocket, RoundtripThenCachedRepeat) {
   serve::ServerOptions opts;
   opts.socket_path = scratch_socket("roundtrip");
@@ -88,14 +84,14 @@ TEST(ServeSocket, RoundtripThenCachedRepeat) {
 
   const std::string cold =
       serve::client_roundtrip(daemon.socket(), kLintStaticAlg1);
-  const serve::Json c = parse_line(cold);
+  const Json c = Json::parse(cold);
   EXPECT_TRUE(c.bool_or("ok", false)) << cold;
   EXPECT_FALSE(c.bool_or("cached", true));
   EXPECT_EQ(c.num_or("exit", -1), 0);
 
   const std::string warm =
       serve::client_roundtrip(daemon.socket(), kLintStaticAlg1);
-  const serve::Json w = parse_line(warm);
+  const Json w = Json::parse(warm);
   EXPECT_TRUE(w.bool_or("cached", false)) << warm;
   // Byte identity over the wire, modulo the documented `cached` flag.
   std::string recolored = cold;
@@ -132,9 +128,10 @@ TEST(ServeSocket, FullQueueAnswersOverloadedImmediately) {
   const std::string refusal =
       serve::client_roundtrip(daemon.socket(), R"({"mode":"stats"})");
   const auto waited = std::chrono::steady_clock::now() - t0;
-  const serve::Json r = parse_line(refusal);
+  const Json r = Json::parse(refusal);
   EXPECT_FALSE(r.bool_or("ok", true)) << refusal;
   EXPECT_EQ(r.str_or("error", ""), "overloaded");
+  EXPECT_EQ(serve::client_exit(r), 3);
   EXPECT_LT(std::chrono::duration<double>(waited).count(), 1.0);
 }
 

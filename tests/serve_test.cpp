@@ -13,16 +13,15 @@
 #include <vector>
 
 #include "analysis/claims.h"
-#include "analysis/diag.h"
 #include "analysis/doc.h"
 #include "analysis/lint.h"
 #include "analysis/static/fingerprint.h"
 #include "core/alg1.h"
 #include "serve/cache.h"
-#include "serve/json.h"
 #include "serve/modes.h"
 #include "serve/service.h"
 #include "sim/sim.h"
+#include "util/json.h"
 
 namespace {
 
@@ -242,9 +241,7 @@ TEST(Service, RepeatRequestRunsZeroSimulatorSteps) {
 }
 
 std::string extract_key(const std::string& envelope) {
-  const std::size_t at = envelope.find("\"key\":\"");
-  EXPECT_NE(at, std::string::npos) << envelope;
-  return envelope.substr(at + 7, 16);
+  return Json::parse(envelope).str_or("key", "");
 }
 
 TEST(Service, KeyCoversModeOptionsAndProtocolSet) {
@@ -275,7 +272,7 @@ TEST(Service, DocPayloadMatchesTheGeneratedReference) {
   std::string expected = reference.str();
   ASSERT_EQ(expected.back(), '\n');
   expected.pop_back();
-  EXPECT_NE(resp.find(",\"payload\":\"" + analysis::json_escape(expected) +
+  EXPECT_NE(resp.find(",\"payload\":\"" + json_escape(expected) +
                       "\"}"),
             std::string::npos);
 }
@@ -297,6 +294,10 @@ TEST(Service, ErrorEnvelopes) {
   EXPECT_NE(service.handle_line(R"({"mode":"explore","k":99})")
                 .find("must be in"),
             std::string::npos);
+  // Nesting past the reader's limit is a usage error, not a stack overflow.
+  EXPECT_EQ(service.handle_line(std::string(120000, '[')),
+            "{\"ok\":false,\"error\":\"usage\",\"message\":\"malformed "
+            "request JSON: nesting deeper than 64 at byte 64\"}\n");
 }
 
 TEST(Service, StatsReportsCacheAndPerModeCounters) {
@@ -304,17 +305,17 @@ TEST(Service, StatsReportsCacheAndPerModeCounters) {
   (void)service.handle_line(kLintStaticAlg1);
   (void)service.handle_line(kLintStaticAlg1);
   const std::string resp = service.handle_line(R"({"mode":"stats"})");
-  const serve::Json r = serve::Json::parse(resp.substr(0, resp.size() - 1));
+  const Json r = Json::parse(resp.substr(0, resp.size() - 1));
   ASSERT_TRUE(r.bool_or("ok", false));
-  const serve::Json* payload = r.get("payload");
+  const Json* payload = r.get("payload");
   ASSERT_NE(payload, nullptr);
-  const serve::Json* cache = payload->get("cache");
+  const Json* cache = payload->get("cache");
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->num_or("hits", -1), 1);
   EXPECT_EQ(cache->num_or("misses", -1), 1);
   EXPECT_EQ(payload->num_or("analyses_run", -1), 1);
   bool found_lint = false;
-  for (const serve::Json& m : payload->get("modes")->array()) {
+  for (const Json& m : payload->get("modes")->array()) {
     if (m.str_or("mode", "") != "lint") continue;
     found_lint = true;
     EXPECT_EQ(m.num_or("requests", -1), 2);

@@ -92,7 +92,6 @@
 
 #include "analysis/doc.h"
 #include "analysis/lint.h"
-#include "serve/json.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "core/alg1.h"
@@ -106,6 +105,7 @@
 #include "sim/tt.h"
 #include "sim/zobrist.h"
 #include "util/errors.h"
+#include "util/json.h"
 #include "tasks/approx.h"
 #include "tasks/checker.h"
 
@@ -436,28 +436,42 @@ int cmd_explore(const Args& a) {
 
   const std::uint64_t denom = core::alg1_denominator(k);
   if (json) {
-    std::cout << "{\"command\":\"explore\",\"protocol\":\"alg1\",\"k\":" << k
-              << ",\"crashes\":" << opts.max_crashes
-              << ",\"threads\":" << resolved
-              << ",\"por\":" << (opts.por ? "true" : "false")
-              << ",\"" << (use_tt ? "states" : "executions")
-              << "\":" << obs.count << ",\"decisions\":{\"min\":" << obs.min_y
-              << ",\"max\":" << obs.max_y << ",\"denominator\":" << denom
-              << ",\"max_gap\":" << obs.max_gap << "}";
+    std::string out;
+    JsonWriter w(out);
+    w.begin_object();
+    w.key("command").str("explore");
+    w.key("protocol").str("alg1");
+    w.key("k").num(k);
+    w.key("crashes").num(opts.max_crashes);
+    w.key("threads").num(resolved);
+    w.key("por").boolean(opts.por);
+    w.key(use_tt ? "states" : "executions").num(obs.count);
+    w.key("decisions").begin_object();
+    w.key("min").num(obs.min_y);
+    w.key("max").num(obs.max_y);
+    w.key("denominator").num(denom);
+    w.key("max_gap").num(obs.max_gap);
+    w.end_object();
     if (use_tt) {
       const sim::TranspositionTable::Stats s = tt->stats();
-      std::cout << ",\"tt\":{\"bytes\":" << s.slots * 8
-                << ",\"symmetry\":" << (opts.tt_symmetry ? "true" : "false")
-                << ",\"probes\":" << s.probes << ",\"hits\":" << s.hits
-                << ",\"stores\":" << s.stores << ",\"drops\":" << s.drops
-                << "}";
+      w.key("tt").begin_object();
+      w.key("bytes").num(s.slots * 8);
+      w.key("symmetry").boolean(opts.tt_symmetry);
+      w.key("probes").num(s.probes);
+      w.key("hits").num(s.hits);
+      w.key("stores").num(s.stores);
+      w.key("drops").num(s.drops);
+      w.end_object();
     }
     if (differential) {
-      std::cout << ",\"oracle\":{\"executions\":" << oracle.count
-                << ",\"states\":" << oracle.finals.size()
-                << ",\"match\":" << (match ? "true" : "false") << "}";
+      w.key("oracle").begin_object();
+      w.key("executions").num(oracle.count);
+      w.key("states").num(oracle.finals.size());
+      w.key("match").boolean(match);
+      w.end_object();
     }
-    std::cout << "}\n";
+    w.end_object();
+    std::cout << out << "\n";
   } else {
     std::cout << "Algorithm 1 exploration: k=" << k << " crashes<="
               << opts.max_crashes << " threads=" << resolved
@@ -571,14 +585,6 @@ exit codes (client/loopback):
   3  daemon overloaded (queue full; retry later)
 )";
 
-/// Maps a response envelope to the client exit code above.
-int response_exit(const serve::Json& r) {
-  if (!r.bool_or("ok", false)) {
-    return r.str_or("error", "") == "overloaded" ? 3 : 2;
-  }
-  return r.num_or("exit", 0) == 0 ? 0 : 1;
-}
-
 int cmd_serve(const Args& a) {
   if (a.flag("help")) {
     std::cout << kServeUsage;
@@ -596,14 +602,13 @@ int cmd_serve(const Args& a) {
       serve::Service service(so);
       const std::string resp = service.handle_line(request);
       std::cout << resp;  // handle_line output is newline-terminated
-      return response_exit(
-          serve::Json::parse(resp.substr(0, resp.size() - 1)));
+      return serve::client_exit(Json::parse(resp.substr(0, resp.size() - 1)));
     }
     if (!request.empty()) {
       const std::string resp =
           serve::client_roundtrip(a.str("socket", "bsr.sock"), request);
       std::cout << resp << "\n";
-      return response_exit(serve::Json::parse(resp));
+      return serve::client_exit(Json::parse(resp));
     }
     serve::ServerOptions opts;
     opts.socket_path = a.str("socket", "bsr.sock");
