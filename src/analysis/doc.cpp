@@ -37,6 +37,14 @@ std::string width_cell(int bits) {
   return bits == ir::kUnboundedWidth ? "unbounded" : std::to_string(bits);
 }
 
+/// `s` as a Markdown code span. Appended, not `"`" + s + "`"`: GCC 12's
+/// -Wrestrict misfires on that concatenation.
+std::string code_span(const std::string& s) {
+  std::string out = "`";
+  out.append(s).append("`");
+  return out;
+}
+
 std::string bits_word(int n) {
   return std::to_string(n) + (n == 1 ? " bit" : " bits");
 }
@@ -185,7 +193,7 @@ void write_register_table(std::ostream& os, const ir::ProtocolIR& p,
        << " | " << (r.allows_bottom ? "yes" : "—") << " | "
        << ir::render(s.writes) << " | "
        << (s.written ? ir::render(s.values) : std::string("—")) << " | "
-       << (s.sym.defined() ? "`" + s.sym.render() + "`" : std::string("—"))
+       << (s.sym.defined() ? code_span(s.sym.render()) : std::string("—"))
        << " |\n";
   }
 }

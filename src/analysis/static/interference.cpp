@@ -87,10 +87,15 @@ bool send_may_violate(const ir::ProtocolIR& p, int pid, int dst) {
 }
 
 std::string reg_name(const std::vector<ir::RegisterDecl>& registers, int r) {
+  // Built by append: GCC 12's -Wrestrict misfires on `"'" + name + "'"`
+  // and `"#" + std::to_string(r)` here.
+  std::string out;
   if (r >= 0 && r < static_cast<int>(registers.size())) {
-    return "'" + registers[r].name + "'";
+    out.append("'").append(registers[r].name).append("'");
+  } else {
+    out.append("#").append(std::to_string(r));
   }
-  return "#" + std::to_string(r);
+  return out;
 }
 
 std::string op_label(const ir::ProtocolIR& p, int pid, const ir::Instr& op) {

@@ -180,9 +180,9 @@ class P {
   ReflectCtx* rctx_ = nullptr;
   sim::Pid pid_ = -1;  ///< Reflect-mode pid (execute asks the Env).
   /// 1-based count of `round` entries through THIS handle. Lives on the
-  /// handle (not the Env) so a body resurrected by Sim::rewind rebuilds it
-  /// along with the rest of the coroutine frame; the simulator suppresses
-  /// the duplicate note_round calls during that fast-forward.
+  /// handle (not the Env) so a body the Sim rebuilds after a rewind
+  /// rebuilds it along with the rest of the coroutine frame; the simulator
+  /// suppresses the duplicate note_round calls during that fast-forward.
   mutable long rounds_entered_ = 0;
 };
 

@@ -45,6 +45,8 @@ struct OpResult {
   Value value;    ///< Read: register content. Snapshot: vector of contents.
                   ///< Recv: message payload.
   Pid from = -1;  ///< Recv: sender of the delivered message.
+
+  friend bool operator==(const OpResult&, const OpResult&) = default;
 };
 
 /// One executed step, for execution traces.

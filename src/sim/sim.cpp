@@ -116,22 +116,23 @@ void Sim::spawn(Pid pid, const std::function<Proc(Env&)>& body) {
 bool Sim::alive(Pid pid) const {
   check_pid(pid);
   const auto& s = ctls_[static_cast<std::size_t>(pid)];
-  return s.spawned && !s.ctl.terminated && !s.ctl.crashed;
+  return s.spawned && !terminated_of(s) && !s.ctl.crashed;
 }
 
 bool Sim::enabled(Pid pid) const {
   if (!alive(pid)) return false;
-  const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  if (ctl.pending.kind != OpKind::Recv) return true;
+  if (pending_of(ctls_[static_cast<std::size_t>(pid)]).kind != OpKind::Recv) {
+    return true;
+  }
   return !recv_choices(pid).empty();
 }
 
 std::vector<Pid> Sim::recv_choices(Pid pid) const {
   check_pid(pid);
-  const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
+  const OpRequest& req = pending_of(ctls_[static_cast<std::size_t>(pid)]);
   std::vector<Pid> out;
-  if (!alive(pid) || ctl.pending.kind != OpKind::Recv) return out;
-  const Pid filter = ctl.pending.peer;
+  if (!alive(pid) || req.kind != OpKind::Recv) return out;
+  const Pid filter = req.peer;
   for (Pid from = 0; from < n(); ++from) {
     if (filter != -1 && from != filter) continue;
     if (!chan_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n()) +
@@ -145,19 +146,22 @@ std::vector<Pid> Sim::recv_choices(Pid pid) const {
 
 const OpRequest& Sim::pending_request(Pid pid) const {
   check_pid(pid);
-  return ctls_[static_cast<std::size_t>(pid)].ctl.pending;
+  return pending_of(ctls_[static_cast<std::size_t>(pid)]);
 }
 
 void Sim::step(Pid pid, Pid recv_from) {
   usage_check(enabled(pid), [&] {
     return "step: process " + std::to_string(pid) + " is not enabled";
   });
-  auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
+  ProcSlot& slot = ctls_[static_cast<std::size_t>(pid)];
+  ProcCtl& ctl = slot.ctl;
+  // A memo node while checkpointing: valid until advance() grows the memo.
+  const OpRequest& req = pending_of(slot);
   UndoRecord undo;
-  if (checkpointing_) undo = capture_undo(ctl);
+  if (checkpointing_) undo = capture_undo(pid, req);
   reg_ops_in_step_ = 0;
   try {
-    execute(ctl, recv_from);
+    execute(ctl, req, recv_from);
   } catch (...) {
     ctl.crashed = true;  // a model-violating process takes no further steps
     throw;
@@ -167,7 +171,7 @@ void Sim::step(Pid pid, Pid recv_from) {
   // above guarantee this today; the counter keeps it an *enforced*
   // invariant if execute() ever grows composite paths.
   if (collect_violations_) {
-    const int allowed = ctl.pending.kind == OpKind::WriteSnap ? 2 : 1;
+    const int allowed = req.kind == OpKind::WriteSnap ? 2 : 1;
     if (reg_ops_in_step_ > allowed) {
       violate(ModelEvent::Kind::Atomicity, pid, -1,
               "step of process " + std::to_string(pid) + " performed " +
@@ -177,7 +181,7 @@ void Sim::step(Pid pid, Pid recv_from) {
     }
   }
   if (opts_.record_trace) {
-    trace_.push_back(TraceEvent{pid, ctl.pending, ctl.result});
+    trace_.push_back(TraceEvent{pid, req, ctl.result});
   }
   if (checkpointing_) {
     if (undo.op == OpKind::Recv) {
@@ -193,7 +197,12 @@ void Sim::step(Pid pid, Pid recv_from) {
   if (hashing_) hash_toggle_hist(pid, ctl.steps, ctl.result);
   ctl.steps += 1;
   total_steps_ += 1;
-  resume(ctl);
+  if (checkpointing_) {
+    advance(slot);
+  } else {
+    resume_stats_.live += 1;
+    resume(ctl);
+  }
 }
 
 void Sim::step_block(const std::vector<Pid>& pids) {
@@ -229,13 +238,17 @@ void Sim::step_block(const std::vector<Pid>& pids) {
     ctl.steps += 1;
     total_steps_ += 1;
   }
-  for (Pid pid : pids) resume(ctls_[static_cast<std::size_t>(pid)].ctl);
+  for (Pid pid : pids) {
+    resume_stats_.live += 1;
+    resume(ctls_[static_cast<std::size_t>(pid)].ctl);
+  }
 }
 
 void Sim::crash(Pid pid) {
   check_pid(pid);
-  auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  usage_check(!ctl.terminated, "crash: process already terminated");
+  auto& slot = ctls_[static_cast<std::size_t>(pid)];
+  ProcCtl& ctl = slot.ctl;
+  usage_check(!terminated_of(slot), "crash: process already terminated");
   if (checkpointing_ && !ctl.crashed) {
     UndoRecord u;
     u.kind = UndoRecord::Kind::Crash;
@@ -271,13 +284,19 @@ void Sim::set_max_rounds(long rounds) {
 
 void Sim::note_round(Pid pid, long idx) {
   check_pid(pid);
-  if (rebuilding_ || max_rounds_ < 0) return;
-  if (idx > max_rounds_) {
-    violate(ModelEvent::Kind::Round, pid, -1,
-            "process " + std::to_string(pid) + " entered round " +
-                std::to_string(idx) + " beyond the declared max_rounds = " +
-                std::to_string(max_rounds_));
-  }
+  if (rebuilding_ || max_rounds_ < 0 || idx <= max_rounds_) return;
+  // Collected events are the only trace an entry leaves in the Sim; a
+  // thrown one either crashes the process (and nothing is memoized) or is
+  // caught by the body, deterministically, on every resume into the node.
+  if (checkpointing_ && collect_violations_) resume_rounds_.push_back(idx);
+  report_round(pid, idx);
+}
+
+void Sim::report_round(Pid pid, long idx) {
+  violate(ModelEvent::Kind::Round, pid, -1,
+          "process " + std::to_string(pid) + " entered round " +
+              std::to_string(idx) + " beyond the declared max_rounds = " +
+              std::to_string(max_rounds_));
 }
 
 void Sim::set_state_hashing(bool on, bool symmetry) {
@@ -405,41 +424,54 @@ void Sim::set_checkpointing(bool on) {
                 "set_checkpointing: must be enabled before the first step "
                 "(the undo log must cover the whole history)");
     result_log_.assign(ctls_.size(), {});
+    // Every coroutine is still at its start: the root of a fresh memo.
+    for (ProcSlot& slot : ctls_) {
+      slot.memo.assign(1, MemoNode{});
+      slot.cursor = 0;
+      slot.coro_at = 0;
+    }
+    resume_stats_.memo_nodes = static_cast<long>(ctls_.size());
   } else {
+    // The control blocks become the process state again.
+    for (ProcSlot& slot : ctls_) {
+      if (slot.spawned) catch_up(slot, slot.cursor);
+      slot.memo.clear();
+    }
+    resume_stats_.memo_nodes = 0;
     undo_.clear();
     result_log_.clear();
   }
   checkpointing_ = on;
 }
 
-Sim::UndoRecord Sim::capture_undo(const ProcCtl& ctl) const {
+Sim::UndoRecord Sim::capture_undo(Pid pid, const OpRequest& req) const {
   UndoRecord u;
   u.kind = UndoRecord::Kind::Step;
-  u.pid = ctl.pid;
-  u.op = ctl.pending.kind;
+  u.pid = pid;
+  u.op = req.kind;
   u.old_violations = violations_.size();
-  switch (ctl.pending.kind) {
+  switch (req.kind) {
     case OpKind::Start:
       break;
     case OpKind::Read:
-      u.reg = ctl.pending.reg;
+      u.reg = req.reg;
       break;
     case OpKind::Write:
-      u.reg = ctl.pending.reg;
+      u.reg = req.reg;
       u.old_value = reg_at(u.reg).value;
       u.old_max_bits = reg_at(u.reg).max_bits_written;
       break;
     case OpKind::Snapshot:
-      u.read_regs = ctl.pending.regs;
+      u.read_regs = req.regs;
       break;
     case OpKind::WriteSnap:
-      u.reg = ctl.pending.reg;
+      u.reg = req.reg;
       u.old_value = reg_at(u.reg).value;
       u.old_max_bits = reg_at(u.reg).max_bits_written;
-      u.read_regs = ctl.pending.regs;
+      u.read_regs = req.regs;
       break;
     case OpKind::Send:
-      u.peer = ctl.pending.peer;
+      u.peer = req.peer;
       break;
     case OpKind::Recv:
       // The delivered payload and actual sender are filled in after
@@ -502,18 +534,17 @@ void Sim::undo_shared(const UndoRecord& u) {
 void Sim::rewind(std::size_t k) {
   usage_check(checkpointing_, "rewind: checkpointing is not enabled");
   usage_check(k <= undo_.size(), "rewind: fewer recorded actions than k");
-  unwound_.assign(ctls_.size(), 0);
   for (; k > 0; --k) {
     const UndoRecord& u = undo_.back();
-    auto& ctl = ctls_[static_cast<std::size_t>(u.pid)].ctl;
+    ProcSlot& slot = ctls_[static_cast<std::size_t>(u.pid)];
+    ProcCtl& ctl = slot.ctl;
     if (u.kind == UndoRecord::Kind::Crash) {
       if (hashing_) hash_toggle_crash(u.pid);
       ctl.crashed = false;
     } else {
+      auto& log = result_log_[static_cast<std::size_t>(u.pid)];
       if (hashing_) {
-        hash_toggle_hist(
-            u.pid, ctl.steps - 1,
-            result_log_[static_cast<std::size_t>(u.pid)].back());
+        hash_toggle_hist(u.pid, ctl.steps - 1, log.back());
         for (std::size_t i = u.old_violations; i < violations_.size(); ++i) {
           hash_toggle_viol(violations_[i]);
         }
@@ -525,46 +556,104 @@ void Sim::rewind(std::size_t k) {
       if (u.traced) trace_.pop_back();
       ctl.steps -= 1;
       total_steps_ -= 1;
-      result_log_[static_cast<std::size_t>(u.pid)].pop_back();
-      unwound_[static_cast<std::size_t>(u.pid)] += 1;
+      log.pop_back();
+      // Only an alive process steps, so this also undoes a crash the step
+      // itself caused by throwing. Such a step never advanced the cursor,
+      // hence the depth test rather than an unconditional move.
+      ctl.crashed = false;
+      while (slot.memo[static_cast<std::size_t>(slot.cursor)].depth >
+             static_cast<int>(log.size())) {
+        slot.cursor = slot.memo[static_cast<std::size_t>(slot.cursor)].parent;
+      }
     }
     undo_.pop_back();
   }
-  for (Pid p = 0; p < n(); ++p) {
-    if (unwound_[static_cast<std::size_t>(p)] > 0) rebuild_coroutine(p);
+  if (user_data_ != nullptr) {
+    for (ProcSlot& slot : ctls_) {
+      if (slot.spawned) catch_up(slot, slot.cursor);
+    }
   }
 }
 
-void Sim::rebuild_coroutine(Pid pid) {
-  auto& slot = ctls_[static_cast<std::size_t>(pid)];
+void Sim::advance(ProcSlot& slot) {
   ProcCtl& ctl = slot.ctl;
-  const auto& log = result_log_[static_cast<std::size_t>(pid)];
-  usage_check(static_cast<long>(log.size()) == ctl.steps,
-              "rewind: result log out of sync with step count");
+  const OpResult& r = result_log_[static_cast<std::size_t>(ctl.pid)].back();
+  int child = -1;
+  for (const auto& [key, to] :
+       slot.memo[static_cast<std::size_t>(slot.cursor)].next) {
+    if (key == r) {
+      child = to;
+      break;
+    }
+  }
+  if (child >= 0 && user_data_ == nullptr) {
+    slot.cursor = child;
+    resume_stats_.memo_hits += 1;
+    for (const long idx : slot.memo[static_cast<std::size_t>(child)].rounds) {
+      report_round(ctl.pid, idx);
+    }
+    return;
+  }
+  catch_up(slot, slot.cursor);
+  ctl.result = r;  // copy: the coroutine moves it out on resume
+  resume_rounds_.clear();
+  resume_stats_.live += 1;
+  slot.coro_at = -1;  // until the resume is known not to have thrown
+  resume(ctl);
+  if (child < 0) child = add_node(slot, r);
+  slot.cursor = child;
+  slot.coro_at = child;
+}
+
+void Sim::catch_up(ProcSlot& slot, int target) {
+  if (slot.coro_at == target) return;
+  ProcCtl& ctl = slot.ctl;
+  const auto& log = result_log_[static_cast<std::size_t>(ctl.pid)];
+  const int depth = slot.memo[static_cast<std::size_t>(target)].depth;
   const bool was_crashed = ctl.crashed;
   ctl.terminated = false;
   ctl.crashed = false;
   ctl.decision = Value();
   ctl.exc = nullptr;
   slot.coro = slot.body(*slot.env);  // destroys the stale coroutine frame
-  usage_check(slot.coro.valid(), "rewind: body did not return a coroutine");
+  usage_check(slot.coro.valid(),
+              "fast-forward: body did not return a coroutine");
   slot.coro.bind(&ctl);
+  slot.coro_at = -1;
   rebuilding_ = true;  // silence note_round: its checks already ran live
-  for (const OpResult& r : log) {
-    ctl.result = r;  // copy: the coroutine moves it out on resume
+  for (int d = 0; d < depth; ++d) {
+    ctl.result = log[static_cast<std::size_t>(d)];
+    resume_stats_.replayed += 1;
     ctl.resume_point.resume();
     if (ctl.exc != nullptr) rebuilding_ = false;
     usage_check(ctl.exc == nullptr,
-                "rewind: protocol threw during fast-forward "
+                "fast-forward: protocol threw on a recorded history "
                 "(process bodies must be deterministic)");
   }
   rebuilding_ = false;
   ctl.crashed = was_crashed;
+  slot.coro_at = target;
+}
+
+int Sim::add_node(ProcSlot& slot, const OpResult& r) {
+  const ProcCtl& ctl = slot.ctl;
+  MemoNode node;
+  node.pending = ctl.pending;  // a copy: the coroutine may be resumed again
+  node.terminated = ctl.terminated;
+  node.decision = ctl.decision;
+  node.rounds = std::move(resume_rounds_);
+  node.parent = slot.cursor;
+  node.depth = slot.memo[static_cast<std::size_t>(slot.cursor)].depth + 1;
+  const int id = static_cast<int>(slot.memo.size());
+  slot.memo[static_cast<std::size_t>(slot.cursor)].next.emplace_back(r, id);
+  slot.memo.push_back(std::move(node));
+  resume_stats_.memo_nodes += 1;
+  return id;
 }
 
 bool Sim::terminated(Pid pid) const {
   check_pid(pid);
-  return ctls_[static_cast<std::size_t>(pid)].ctl.terminated;
+  return terminated_of(ctls_[static_cast<std::size_t>(pid)]);
 }
 
 bool Sim::crashed(Pid pid) const {
@@ -574,9 +663,10 @@ bool Sim::crashed(Pid pid) const {
 
 const Value& Sim::decision(Pid pid) const {
   check_pid(pid);
-  const auto& ctl = ctls_[static_cast<std::size_t>(pid)].ctl;
-  usage_check(ctl.terminated, "decision: process has not terminated");
-  return ctl.decision;
+  const auto& slot = ctls_[static_cast<std::size_t>(pid)];
+  usage_check(terminated_of(slot), "decision: process has not terminated");
+  return checkpointing_ ? slot.memo[static_cast<std::size_t>(slot.cursor)].decision
+                        : slot.ctl.decision;
 }
 
 long Sim::steps(Pid pid) const {
@@ -736,8 +826,7 @@ Value Sim::do_snapshot(const std::vector<int>& regs) {
   return Value(std::move(out));
 }
 
-void Sim::execute(ProcCtl& ctl, Pid recv_from) {
-  const OpRequest& req = ctl.pending;
+void Sim::execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from) {
   switch (req.kind) {
     case OpKind::Start:
       ctl.result = OpResult{};

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/coro.h"
@@ -105,6 +106,20 @@ struct SimOptions {
   /// registers are a convenience justified by constant-factor emulation).
   /// Write-once input registers are exempt (the model adds them separately).
   bool single_register_per_process = false;
+};
+
+/// Where the continuations of a Sim's steps came from (Sim::resume_stats).
+struct ResumeStats {
+  /// Coroutine resumes that ran a step's continuation as part of the step
+  /// (every step without checkpointing; memo misses with it).
+  long live = 0;
+  /// Resumes spent fast-forwarding a rebuilt coroutine through recorded
+  /// results; these re-run protocol-local code without executing any op.
+  long replayed = 0;
+  /// Steps whose continuation the memo supplied without any resume.
+  long memo_hits = 0;
+  /// Memo nodes currently held, summed over the processes.
+  long memo_nodes = 0;
 };
 
 class Sim;
@@ -226,7 +241,10 @@ class Sim {
   /// the Sim. Explorer factories must use this instead of capturing a
   /// shared object: the parallel engine builds one Sim per subtree job and
   /// runs them concurrently, so anything shared across factory calls would
-  /// be raced on. Visitors read it back via `user_data<T>()`.
+  /// be raced on. Visitors read it back via `user_data<T>()`. Bodies that
+  /// write into it have effects outside the Sim, so a world with user data
+  /// resumes every step live instead of answering from the memo (see
+  /// `set_checkpointing`).
   void set_user_data(std::shared_ptr<void> data) noexcept {
     user_data_ = std::move(data);
   }
@@ -251,6 +269,8 @@ class Sim {
   /// (OpKind::Start before the first). Exposed so the explorer's
   /// partial-order reduction can derive the op's footprint without
   /// executing it (src/sim/explore.cpp, detail::choice_footprint).
+  /// While checkpointing the reference points into the memo: it is valid
+  /// only until the next step, crash, rewind or set_checkpointing call.
   [[nodiscard]] const OpRequest& pending_request(Pid pid) const;
 
   /// Whether the topology (declared edges, SimOptions::edges, or the
@@ -286,22 +306,47 @@ class Sim {
   void set_max_rounds(long rounds);
   [[nodiscard]] long max_rounds() const noexcept { return max_rounds_; }
 
-  /// Round-entry hook (see Env::note_round). Ignored while a rewind is
-  /// fast-forwarding a rebuilt coroutine (the entry was already checked
-  /// when it first executed).
+  /// Round-entry hook (see Env::note_round). Ignored while a stale
+  /// coroutine is fast-forwarded through recorded results (the entry was
+  /// already checked when it first executed). While checkpointing, the
+  /// memo replays a step's over-budget entries on every later hit.
   void note_round(Pid pid, long idx);
 
   // --- Checkpointing (incremental backtracking for the explorer) -----------
 
   /// Starts recording an undo log so that `rewind` can step the world
-  /// backwards. Must be enabled before the first step/crash (the log must
-  /// cover every action since the initial state, because rewinding a process
-  /// rebuilds its coroutine from the start and fast-forwards it through its
-  /// recorded step results). Disabling clears the log.
+  /// backwards, and memoizes each process over its result history. Must be
+  /// enabled before the first step/crash: the log must cover every action
+  /// since the initial state, because a stale coroutine is rebuilt from the
+  /// start and fast-forwarded through its recorded step results.
+  ///
+  /// The memo is a per-process trie with one node per result-history
+  /// prefix, holding the op the body issues after that prefix, whether it
+  /// terminated and with what decision, and the over-budget round entries
+  /// its resume reported; an edge is keyed on the exact OpResult. A step
+  /// executes its op as usual and then follows the edge for its result: a
+  /// hit needs no coroutine resume at all, and only a miss resumes the
+  /// coroutine (rebuilding and fast-forwarding it first if it is parked
+  /// elsewhere in the trie). This relies on process bodies being
+  /// deterministic functions of their own result history with no side
+  /// effects outside the Sim. Bodies that report into caller state must
+  /// travel with `set_user_data`: a world with user data resumes every
+  /// step live (see docs/MODEL.md). A resume that throws is never
+  /// memoized. The memo keeps every node it records, one per distinct
+  /// history a process has reached, so it grows with the number of
+  /// distinct per-process histories, not with the number of steps.
+  /// Disabling brings every coroutine up to its process's history and
+  /// clears the log and memo.
   ///
   /// Checkpointing is incompatible with `step_block` (no undo support).
   void set_checkpointing(bool on);
   [[nodiscard]] bool checkpointing() const noexcept { return checkpointing_; }
+
+  /// Where step continuations came from so far: live resumes, replayed
+  /// (fast-forward) resumes, memo hits, and the memo's current size.
+  [[nodiscard]] const ResumeStats& resume_stats() const noexcept {
+    return resume_stats_;
+  }
 
   /// Number of recorded actions (steps + crashes) that `rewind` can undo.
   [[nodiscard]] std::size_t history_size() const noexcept {
@@ -352,18 +397,22 @@ class Sim {
 
   /// Undoes the last `k` recorded actions (steps and crashes), restoring
   /// registers, channels, traces, accounting, and process control state.
-  /// Process coroutines that stepped within the undone suffix are rebuilt
-  /// from their body and fast-forwarded through their surviving recorded
-  /// results — protocols are deterministic state machines, so feeding the
-  /// same results reproduces the same coroutine state without re-executing
-  /// (or re-validating) any shared-memory operation.
+  /// A process whose steps are undone just moves its memo cursor back to
+  /// the node of its surviving history: no coroutine is touched. A stale
+  /// coroutine is brought up to date only when its process next misses the
+  /// memo (protocols are deterministic state machines, so feeding the same
+  /// results reproduces the same coroutine state without re-executing, or
+  /// re-validating, any shared-memory operation). In a world with user
+  /// data the rewound coroutines are fast-forwarded here instead, so the
+  /// bodies' writes into that data match the surviving path.
   void rewind(std::size_t k);
 
   // --- Inspection -----------------------------------------------------------
 
   [[nodiscard]] bool terminated(Pid pid) const;
   [[nodiscard]] bool crashed(Pid pid) const;
-  /// Decision (co_returned value) of a terminated process.
+  /// Decision (co_returned value) of a terminated process. The reference
+  /// has the lifetime of `pending_request`'s.
   [[nodiscard]] const Value& decision(Pid pid) const;
   [[nodiscard]] long steps(Pid pid) const;
   [[nodiscard]] long total_steps() const noexcept { return total_steps_; }
@@ -403,6 +452,20 @@ class Sim {
   [[nodiscard]] long total_sends() const noexcept { return total_sends_; }
 
  private:
+  /// One result-history prefix of one process (see set_checkpointing).
+  struct MemoNode {
+    OpRequest pending;  ///< The op the body issues after this prefix.
+    bool terminated = false;
+    Value decision;     ///< The body's co_returned value, once terminated.
+    /// Over-budget round entries the resume into this node reported
+    /// (collect mode); a hit reports them again.
+    std::vector<long> rounds;
+    int parent = -1;
+    int depth = 0;  ///< Results on the path from the root.
+    /// Children, keyed on the exact result that leads to each.
+    std::vector<std::pair<OpResult, int>> next;
+  };
+
   struct ProcSlot {
     ProcCtl ctl;
     std::unique_ptr<Env> env;
@@ -412,6 +475,12 @@ class Sim {
     std::function<Proc(Env&)> body;
     Proc coro;
     bool spawned = false;
+    /// Checkpointing only: the memo trie ([0] is the empty history), the
+    /// node of the process's current history, and the node the coroutine
+    /// is parked at (-1 when it must be rebuilt from the start).
+    std::vector<MemoNode> memo;
+    int cursor = 0;
+    int coro_at = 0;
   };
 
   /// One undoable action, recorded while checkpointing.
@@ -440,18 +509,39 @@ class Sim {
   /// throws ModelError otherwise.
   void violate(ModelEvent::Kind kind, Pid pid, int reg, std::string msg);
   [[nodiscard]] bool may_send(Pid from, Pid to) const;
-  /// Executes the pending request of `pid` into its result slot.
-  void execute(ProcCtl& ctl, Pid recv_from);
+  // The process state the kernel acts on: the memo node at the cursor
+  // while checkpointing, the coroutine's own control block otherwise.
+  [[nodiscard]] const OpRequest& pending_of(const ProcSlot& s) const {
+    return checkpointing_ ? s.memo[static_cast<std::size_t>(s.cursor)].pending
+                          : s.ctl.pending;
+  }
+  [[nodiscard]] bool terminated_of(const ProcSlot& s) const {
+    return checkpointing_
+               ? s.memo[static_cast<std::size_t>(s.cursor)].terminated
+               : s.ctl.terminated;
+  }
+  /// Executes `req`, the pending request of `ctl`'s process, into its
+  /// result slot.
+  void execute(ProcCtl& ctl, const OpRequest& req, Pid recv_from);
   void do_write(Pid pid, int reg, const Value& v);
   [[nodiscard]] Value do_snapshot(const std::vector<int>& regs);
   void resume(ProcCtl& ctl);
+  /// Moves `slot`'s cursor along the edge for its newest logged result,
+  /// resuming the coroutine only on a miss (or in a world with user data)
+  /// and recording the node it reaches.
+  void advance(ProcSlot& slot);
+  /// Brings `slot`'s coroutine to memo node `target` on the current
+  /// history, unless it is parked there: rebuilds it from the body and
+  /// fast-forwards it through the recorded results of that prefix.
+  void catch_up(ProcSlot& slot, int target);
+  /// Appends the child of the cursor reached by result `r`, taking the
+  /// node's contents from the coroutine that just resumed into it.
+  [[nodiscard]] int add_node(ProcSlot& slot, const OpResult& r);
+  void report_round(Pid pid, long idx);
   /// Fills an UndoRecord from the op about to be executed (pre-state).
-  [[nodiscard]] UndoRecord capture_undo(const ProcCtl& ctl) const;
+  [[nodiscard]] UndoRecord capture_undo(Pid pid, const OpRequest& req) const;
   /// Reverts the shared-state effects of one executed step.
   void undo_shared(const UndoRecord& u);
-  /// Recreates `pid`'s coroutine and fast-forwards it through its recorded
-  /// step results (see `rewind`).
-  void rebuild_coroutine(Pid pid);
 
   // Zobrist maintenance: each helper XOR-toggles one component into every
   // maintained permutation hash, so the same call both applies and undoes.
@@ -479,8 +569,10 @@ class Sim {
   int reg_ops_in_step_ = 0;
   bool checkpointing_ = false;
   std::vector<UndoRecord> undo_;
-  /// rewind()'s per-process count of undone steps, kept to reuse its buffer.
-  std::vector<long> unwound_;
+  ResumeStats resume_stats_;
+  /// Over-budget round entries reported by the live resume in flight,
+  /// moved into the memo node it reaches.
+  std::vector<long> resume_rounds_;
   /// result_log_[pid][j] = result delivered to pid's j-th executed step.
   std::vector<std::vector<OpResult>> result_log_;
   /// Messages delivered per channel (same from*n+to indexing as chan_):
@@ -494,8 +586,8 @@ class Sim {
   std::vector<std::vector<Pid>> perms_;
   std::vector<std::vector<int>> perm_regs_;
   std::vector<std::uint64_t> hash_;  ///< Running hash per permutation.
-  /// Set while rebuild_coroutine fast-forwards a body, so non-step side
-  /// channels into the Sim (note_round) know to stay quiet.
+  /// Set while catch_up fast-forwards a body, so non-step side channels
+  /// into the Sim (note_round) know to stay quiet.
   bool rebuilding_ = false;
   bool edges_declared_ = false;  ///< declare_edge overrode SimOptions::edges.
   long max_rounds_ = -1;

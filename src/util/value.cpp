@@ -135,6 +135,9 @@ std::size_t Value::hash() const noexcept {
       h = mix(h, std::hash<std::string>{}(bytes_payload().bytes));
       break;
     case Kind::Vec:
+      // The length goes in first: otherwise an empty Vec's hash equals the
+      // running hash of its parent, and mixing the two gives [[]] hash 0.
+      h = mix(h, vec_payload().vec.size());
       for (const Value& v : vec_payload().vec) h = mix(h, v.hash());
       break;
   }
